@@ -111,6 +111,16 @@ func (s ShardSet) Minus(t ShardSet) ShardSet {
 // IsEmpty reports whether s = ∅.
 func (s ShardSet) IsEmpty() bool { return s == ShardSet{} }
 
+// Min returns the smallest member, or -1 when s is empty.
+func (s ShardSet) Min() int {
+	for i, w := range s {
+		if w != 0 {
+			return 64*i + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // Len returns |s|.
 func (s ShardSet) Len() int {
 	n := 0

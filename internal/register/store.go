@@ -595,7 +595,6 @@ type StoreNode struct {
 	// order within each shard, which keys make per-key program order), one
 	// window controller per shard.
 	queues    [][]queuedOp
-	queued    int // ops remaining across all queues
 	scriptLen int
 	opSeq     int64
 	rid       int64
@@ -609,6 +608,10 @@ type StoreNode struct {
 	stall    int
 	doneMask ShardSet // shards that completed an op this client step
 	load     []int    // outstanding ops per shard, maintained on start/complete
+	// busy holds the shards with queued or outstanding client work, kept
+	// where queues and load change (script load, finish, Recover), so the
+	// per-step stop predicate is a word test rather than a queue scan.
+	busy ShardSet
 
 	// Retransmission state (Retransmit only): the client's own step clock
 	// (ticks once per Step of this node), the cached initial/cap timeouts,
@@ -624,6 +627,9 @@ type StoreNode struct {
 	// piggybacking.
 	qOut [][]queryEntry
 	sOut [][]storeEntry
+	// outDirty holds the shards whose qOut or sOut is non-empty (parked
+	// accumulators included), so flush visits only those.
+	outDirty ShardSet
 
 	// Pooled payload buffers (see batchPool): filled only on untraced runs,
 	// where sim grants the receiver ownership of delivered payloads. Shared
@@ -736,14 +742,15 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 		if cfg.FastReads {
 			a.confClient = make([]Timestamp, m.Keys())
 		}
-		// Client buffers at their window-bound high-water marks: growing
-		// them per run would make per-run allocations scale with how full
-		// the windows get, i.e. with script length.
+		// Client buffers at their high-water marks: growing them per run
+		// would make per-run allocations scale with how full the windows
+		// get, i.e. with script length. No more ops are outstanding than
+		// the windows or the script hold.
 		winCap := cfg.window()
 		if cfg.AdaptiveWindow {
 			winCap = a.maxWin
 		}
-		a.pend = make([]storeOp, 0, winCap*m.Shards())
+		a.pend = make([]storeOp, 0, min(len(script), winCap*m.Shards()))
 		// With retransmission a step may re-send a full window on top of the
 		// window it starts, so the accumulators get double headroom to keep
 		// retransmit bursts off the allocator.
@@ -757,12 +764,15 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 			// parking never grows the buffers mid-measurement.
 			outCap *= cfg.CoalesceDelay + 2
 		}
+		// One backing array per accumulator kind, cut into a capped slice
+		// per shard: two allocations instead of two per shard.
+		qBuf := make([]queryEntry, outCap*m.Shards())
+		sBuf := make([]storeEntry, outCap*m.Shards())
 		for sh := 0; sh < m.Shards(); sh++ {
-			a.qOut[sh] = make([]queryEntry, 0, outCap)
-			a.sOut[sh] = make([]storeEntry, 0, outCap)
+			a.qOut[sh] = qBuf[sh*outCap : sh*outCap : (sh+1)*outCap]
+			a.sOut[sh] = sBuf[sh*outCap : sh*outCap : (sh+1)*outCap]
 		}
 		a.scriptLen = len(script)
-		a.queued = len(script)
 		// Exact per-shard queue capacities: append-growth here would scale
 		// construction allocations with script length, muddying the
 		// steady-state-zero measurement that excludes fixed setup. The live
@@ -772,6 +782,9 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 		}
 		for sh := range a.queues {
 			a.queues[sh] = make([]queuedOp, 0, a.load[sh])
+			if a.load[sh] > 0 {
+				a.busy = a.busy.Add(sh)
+			}
 			a.load[sh] = 0
 		}
 		// Open-loop arrival schedule: the cumulative jittered (or fixed)
@@ -856,26 +869,14 @@ func StoreProgram(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) (
 
 // Done reports whether the node's script has fully executed and no
 // operation is outstanding on any shard.
-func (a *StoreNode) Done() bool { return a.queued == 0 && len(a.pend) == 0 }
+func (a *StoreNode) Done() bool { return a.busy.IsEmpty() }
 
 // DoneOn reports whether the node has finished all work destined to the
 // shards of the avail set: nothing queued for and nothing outstanding on
 // an available shard. Operations routed to unavailable shards (a fully
 // crashed replica group) can never complete and are excluded — a crash only
 // degrades its own shard.
-func (a *StoreNode) DoneOn(avail ShardSet) bool {
-	for sh := range a.queues {
-		if avail.Has(sh) && len(a.queues[sh]) > 0 {
-			return false
-		}
-	}
-	for i := range a.pend {
-		if avail.Has(a.pend[i].shard) {
-			return false
-		}
-	}
-	return true
-}
+func (a *StoreNode) DoneOn(avail ShardSet) bool { return !a.busy.Intersects(avail) }
 
 // CompletedOps returns the number of client operations this node completed.
 func (a *StoreNode) CompletedOps() int { return a.completed }
@@ -955,7 +956,7 @@ func (a *StoreNode) Recover() {
 	for sh := range a.queues {
 		a.queues[sh] = a.queues[sh][:0]
 	}
-	a.queued = 0
+	a.busy = ShardSet{}
 	a.scriptLen = 0
 }
 
@@ -1232,7 +1233,11 @@ func (a *StoreNode) adaptWindows() {
 	if !a.cfg.AdaptiveWindow {
 		return
 	}
-	for sh := range a.win {
+	// A shard outside busy ∪ doneMask has no load and, since its last
+	// completion reset it, no stall clock: there is nothing to update.
+	for set := a.busy.Union(a.doneMask); !set.IsEmpty(); {
+		sh := set.Min()
+		set = set.Remove(sh)
 		w := &a.win[sh]
 		if a.doneMask.Has(sh) || a.load[sh] == 0 {
 			w.idle = 0
@@ -1293,6 +1298,7 @@ func (a *StoreNode) retransmit() {
 		case 2:
 			a.sOut[op.shard] = append(a.sOut[op.shard], storeEntry{Key: op.key, RID: op.rid, TS: op.best, V: op.bestVal})
 		}
+		a.outDirty = a.outDirty.Add(op.shard)
 	}
 }
 
@@ -1409,6 +1415,7 @@ func (a *StoreNode) advance(e *sim.Env) {
 				}
 			}
 			a.sOut[op.shard] = append(a.sOut[op.shard], storeEntry{Key: op.key, RID: op.rid, TS: st, V: v})
+			a.outDirty = a.outDirty.Add(op.shard)
 			kept = append(kept, op)
 		case 2:
 			a.finish(e, &op)
@@ -1447,6 +1454,9 @@ func (a *StoreNode) finish(e *sim.Env, op *storeOp) {
 	}
 	a.completed++
 	a.load[op.shard]--
+	if a.load[op.shard] == 0 && len(a.queues[op.shard]) == 0 {
+		a.busy = a.busy.Remove(op.shard)
+	}
 	a.noteCompletion(op.shard)
 	if a.cfg.FastReads {
 		a.noteConfirmed(op.key, op.best)
@@ -1477,7 +1487,9 @@ func (a *StoreNode) noteConfirmed(key int, ts Timestamp) {
 // many eligible ops run at once, and time queued past arrival is charged to
 // the op's measured latency.
 func (a *StoreNode) start(e *sim.Env) {
-	for sh := range a.queues {
+	for set := a.busy; !set.IsEmpty(); { // queued work implies busy
+		sh := set.Min()
+		set = set.Remove(sh)
 		w := a.winFor(sh)
 		for len(a.queues[sh]) > 0 && a.shardLoad(sh) < w {
 			head := a.queues[sh][0]
@@ -1492,8 +1504,7 @@ func (a *StoreNode) start(e *sim.Env) {
 			if a.cfg.OpenLoop {
 				invoke = head.arrival
 			}
-			a.queues[sh] = a.queues[sh][1:]
-			a.queued--
+			a.queues[sh] = a.queues[sh][1:] // sh stays busy: the op is outstanding
 			a.opSeq++
 			a.rid++
 			if e.OpsRecorded() {
@@ -1528,6 +1539,7 @@ func (a *StoreNode) start(e *sim.Env) {
 				q.CTS = a.confClient[op.Key]
 			}
 			a.qOut[sh] = append(a.qOut[sh], q)
+			a.outDirty = a.outDirty.Add(sh)
 		}
 	}
 }
@@ -1569,7 +1581,9 @@ func (a *StoreNode) flush(e *sim.Env) {
 		a.flushPiggyback(e)
 		return
 	}
-	for sh := range a.qOut {
+	for dirty := a.outDirty; !dirty.IsEmpty(); {
+		sh := dirty.Min()
+		dirty = dirty.Remove(sh)
 		if len(a.qOut[sh]) > 0 && !(a.coalesce && a.park(&a.qHeldT[sh], len(a.qOut[sh]), sh)) {
 			group := a.shards.Group(sh)
 			if a.cfg.DisableBatching {
@@ -1617,6 +1631,9 @@ func (a *StoreNode) flush(e *sim.Env) {
 			}
 			a.sOut[sh] = a.sOut[sh][:0]
 		}
+		if len(a.qOut[sh]) == 0 && len(a.sOut[sh]) == 0 {
+			a.outDirty = a.outDirty.Remove(sh)
+		}
 	}
 }
 
@@ -1640,10 +1657,9 @@ func (a *StoreNode) park(heldT *int64, entries, sh int) bool {
 // in deterministic order (shards ascending, members ascending, the reply
 // destination where it falls).
 func (a *StoreNode) flushPiggyback(e *sim.Env) {
-	for sh := range a.qOut {
-		if len(a.qOut[sh]) == 0 && len(a.sOut[sh]) == 0 {
-			continue
-		}
+	for dirty := a.outDirty; !dirty.IsEmpty(); {
+		sh := dirty.Min()
+		dirty = dirty.Remove(sh)
 		group := a.shards.Group(sh)
 		for set := group; !set.IsEmpty(); {
 			p := set.Min()
@@ -1658,6 +1674,7 @@ func (a *StoreNode) flushPiggyback(e *sim.Env) {
 		a.qOut[sh] = a.qOut[sh][:0]
 		a.sOut[sh] = a.sOut[sh][:0]
 	}
+	a.outDirty = ShardSet{}
 	if a.repDst != dist.None && (len(a.repQ) > 0 || len(a.repS) > 0) {
 		f := a.frameFor(a.repDst)
 		f.QR = append(f.QR, a.repQ...)

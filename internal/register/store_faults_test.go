@@ -38,9 +38,7 @@ func runStoreFaulted(t *testing.T, f *dist.FailurePattern, s dist.ProcSet, cfg S
 		Scheduler: sim.NewRandomScheduler(seed),
 		MaxSteps:  maxSteps,
 		Faults:    fp,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return storeClientsDoneMasked(sn, clients, avail, masks)
-		},
+		StopWhen:  storeStop(clients, storeDoneSets(clients, avail, masks)),
 	})
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)

@@ -19,6 +19,19 @@ func storeAllocRunner(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.F
 // (crashes and recoveries), for the recovery alloc row.
 func storeAllocRunnerOn(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.FaultPlan, f *dist.FailurePattern) *sim.Runner {
 	t.Helper()
+	r, err := sim.NewRunner(storeHotpathConfig(t, cfg, opsPerClient, fp, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// storeHotpathConfig is the untraced run configuration of the hot-path
+// tests: clients p1..p3 of a 5-process store over a generated workload,
+// stopping once every correct client finished its work on the available
+// shards.
+func storeHotpathConfig(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.FaultPlan, f *dist.FailurePattern) sim.Config {
+	t.Helper()
 	const n = 5
 	s := dist.RangeSet(1, 3)
 	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
@@ -32,18 +45,19 @@ func storeAllocRunnerOn(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sim.NewRunner(sim.Config{
+	m, err := cfg.ShardMap(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients, avail := s.Intersect(f.Correct()), m.Available(f.Correct())
+	return sim.Config{
 		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
 		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000, DisableTrace: true,
 		Faults: fp,
 		StopWhen: func(sn *sim.Snapshot) bool {
-			return StoreClientsDone(sn, s)
+			return StoreClientsDoneOn(sn, clients, avail)
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return r
 }
 
 // measureStoreAllocs returns the average allocations and executed steps of
@@ -82,13 +96,18 @@ func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps fl
 	return avg, float64(sum) / float64(len(stepsSeen))
 }
 
-// TestStoreAllocsPerStep is the E21 tripwire: the steady-state store step
-// path allocates nothing. Per-run setup (fresh automata on Reset, the
-// result, pool warmup to the in-flight high-water mark) is excluded by a
-// marginal measurement: two runners differing only in script length have
-// identical setup, so the allocation difference divided by the step
-// difference is the pure steady-state cost per step — and must be ≈ 0.
-func TestStoreAllocsPerStep(t *testing.T) {
+// storeHotpathCase is one store configuration of the hot-path tests; a nil
+// pattern means failure-free.
+type storeHotpathCase struct {
+	name string
+	cfg  StoreConfig
+	fp   *sim.FaultPlan
+	pat  *dist.FailurePattern
+}
+
+// storeHotpathCases are the configurations TestStoreAllocsPerStep pins at
+// zero allocations per step.
+func storeHotpathCases() []storeHotpathCase {
 	// The faulted case pins the retransmit path and the runner's
 	// drop/duplicate refcount adjustments: lost pooled batches recycle
 	// through DropRef instead of leaking (a leak re-allocates on the next
@@ -100,18 +119,10 @@ func TestStoreAllocsPerStep(t *testing.T) {
 	// replica re-allocation on first post-recovery touch) is per-run setup
 	// shared by both runners, so the marginal cost per step must still be
 	// zero.
-	recovery := func() *dist.FailurePattern {
-		f := dist.NewFailurePattern(5)
-		f.CrashAt(5, 10)
-		f.RecoverAt(5, 30)
-		return f
-	}()
-	for _, tc := range []struct {
-		name string
-		cfg  StoreConfig
-		fp   *sim.FaultPlan
-		pat  *dist.FailurePattern
-	}{
+	recovery := dist.NewFailurePattern(5)
+	recovery.CrashAt(5, 10)
+	recovery.RecoverAt(5, 30)
+	return []storeHotpathCase{
 		{"batched", StoreConfig{Keys: 12, Window: 8}, nil, nil},
 		{"piggyback+adaptive", StoreConfig{Keys: 12, Window: 8, Piggyback: true, AdaptiveWindow: true}, nil, nil},
 		{"sharded", StoreConfig{Keys: 12, Shards: 4, Window: 8}, nil, nil},
@@ -130,7 +141,17 @@ func TestStoreAllocsPerStep(t *testing.T) {
 			Keys: 12, Shards: 4, Window: 8, Piggyback: true,
 			Retransmit: true, RTO: 16, FastReads: true,
 		}, faults, recovery},
-	} {
+	}
+}
+
+// TestStoreAllocsPerStep is the E21 tripwire: the steady-state store step
+// path allocates nothing. Per-run setup (fresh automata on Reset, the
+// result, pool warmup to the in-flight high-water mark) is excluded by a
+// marginal measurement: two runners differing only in script length have
+// identical setup, so the allocation difference divided by the step
+// difference is the pure steady-state cost per step — and must be ≈ 0.
+func TestStoreAllocsPerStep(t *testing.T) {
+	for _, tc := range storeHotpathCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			pat := tc.pat
 			if pat == nil {
@@ -257,6 +278,7 @@ func TestAdaptiveControllerEdges(t *testing.T) {
 	// StallSteps client steps halve the window — 6 → 3 → 1 — and further
 	// stalls keep it pinned at the floor of 1.
 	a.load[0] = 1 // one op outstanding on shard 0
+	a.busy = a.busy.Add(0)
 	stall := func(steps int) {
 		for i := 0; i < steps; i++ {
 			a.doneMask = ShardSet{}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/fd"
 	"repro/internal/sim"
 )
 
@@ -44,8 +45,8 @@ func scaleSweepConfig(t *testing.T, seeds int64) StoreSweepConfig {
 			// sits in A and p2 in B, so both park cross-side work and drain
 			// it after the heal.
 			Partitions: []dist.Partition{{
-				A: dist.NewProcSet(1, 17, 33, 49, 65, 81, 97, 113),
-				B: dist.NewProcSet(2, 18, 34, 50, 66, 82, 98, 114),
+				A:    dist.NewProcSet(1, 17, 33, 49, 65, 81, 97, 113),
+				B:    dist.NewProcSet(2, 18, 34, 50, 66, 82, 98, 114),
 				From: 60, Until: 240,
 			}},
 		},
@@ -139,5 +140,51 @@ func TestStoreScaleHighProcessIDs(t *testing.T) {
 	}
 	if res.Runs != 3 || res.Failures != 0 {
 		t.Fatalf("high-ID sweep failed: %s (first seed %d: %v)", res, res.FirstFailSeed, res.FirstFailErr)
+	}
+}
+
+// BenchmarkStoreClientsDone times the store stop predicate at n=256 with one
+// client per shard group (32 clients, 32 shards) on the snapshot of a run's
+// last step, where every client is done and the predicate visits all 32.
+func BenchmarkStoreClientsDone(b *testing.B) {
+	const n, shards, keys = 256, 32, 64
+	s := dist.RangeSet(1, 32)
+	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
+		N: n, S: s, Keys: keys, Shards: shards, OpsPerClient: 3,
+		WriteRatio: -1, Skew: 1.2, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := StoreProgram(n, s, StoreConfig{Keys: keys, Shards: shards, Window: 2}, scripts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := dist.NewFailurePattern(n)
+	avail := FullShardSet(shards)
+	measured := false
+	_, err = sim.Run(sim.Config{
+		Pattern: f, History: fd.NewSigmaS(f, s, 20), Program: prog, DisableTrace: true,
+		StopWhen: func(sn *sim.Snapshot) bool {
+			if !StoreClientsDoneOn(sn, s, avail) {
+				return false
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !StoreClientsDoneOn(sn, s, avail) {
+					b.Fatal("done clients stopped being done")
+				}
+			}
+			b.StopTimer()
+			measured = true
+			return true
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !measured {
+		b.Fatal("the run ended before every client was done")
 	}
 }

@@ -97,23 +97,15 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 	// Per-client completion masks: available shards the client can reach
 	// through the run horizon (nil without faults — everything reachable).
 	masks := StoreReach(shardMap, cfg.Faults, correct, clients, dist.Time(maxSteps))
-	if masks != nil {
-		var any ShardSet
-		for set := clients; !set.IsEmpty(); {
-			p := set.Min()
-			set = set.Remove(p)
-			any = any.Union(avail.Intersect(masks[p]))
-		}
-		if any.IsEmpty() {
-			// An unhealed partition cutting every client off every shard
-			// verifies only empty histories — a setup error, like avail == 0.
-			return nil, fmt.Errorf("register: no client can reach any available shard through the run horizon (unhealed partitions cut everything)")
-		}
+	done := storeDoneSets(clients, avail, masks)
+	var reachable ShardSet
+	for _, sh := range done {
+		reachable = reachable.Union(sh)
 	}
-	// Shared across workers: a pure read of the snapshot, no captured
-	// mutable state.
-	stopWhen := func(sn *sim.Snapshot) bool {
-		return storeClientsDoneMasked(sn, clients, avail, masks)
+	if reachable.IsEmpty() {
+		// An unhealed partition cutting every client off every shard
+		// verifies only empty histories — a setup error, like avail == 0.
+		return nil, fmt.Errorf("register: no client can reach any available shard through the run horizon (unhealed partitions cut everything)")
 	}
 	return sweep.Run(sweep.Config{
 		Sim: func() sim.Config {
@@ -128,7 +120,7 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 				History:    fd.NewSigmaS(cfg.Pattern, cfg.S, stab),
 				Program:    prog,
 				MaxSteps:   maxSteps,
-				StopWhen:   stopWhen,
+				StopWhen:   storeStop(clients, done), // per worker: it keeps a cursor
 				Faults:     cfg.Faults,
 				StallLimit: cfg.StallLimit,
 			}
@@ -233,21 +225,57 @@ var allShards = FullShardSet(MaxShards)
 // shard whose whole replica group crashed can never complete and must not
 // keep the run alive (see ShardMap.Available).
 func StoreClientsDoneOn(sn *sim.Snapshot, clients dist.ProcSet, avail ShardSet) bool {
-	return storeClientsDoneMasked(sn, clients, avail, nil)
+	return clients.AllSatisfy(func(p dist.ProcID) bool {
+		node, ok := sn.Automaton(p).(*StoreNode)
+		return ok && node.DoneOn(avail)
+	})
 }
 
-// storeClientsDoneMasked is StoreClientsDoneOn with an optional per-client
-// reachability mask (StoreReach): each client only needs to finish work on
-// shards that are both available and reachable to it.
-func storeClientsDoneMasked(sn *sim.Snapshot, clients dist.ProcSet, avail ShardSet, masks []ShardSet) bool {
-	return clients.AllSatisfy(func(p dist.ProcID) bool {
-		eff := avail
+// storeDoneSets returns, indexed by ProcID, the shards each client must
+// finish work on: the available ones, cut down to the ones it can reach when
+// masks (StoreReach) is non-nil. Computed once per sweep, it keeps the
+// intersection out of the per-step stop predicate.
+func storeDoneSets(clients dist.ProcSet, avail ShardSet, masks []ShardSet) []ShardSet {
+	done := make([]ShardSet, int(clients.Max())+1)
+	for set := clients; !set.IsEmpty(); {
+		p := set.Min()
+		set = set.Remove(p)
+		done[p] = avail
 		if masks != nil {
-			eff = eff.Intersect(masks[p])
+			done[p] = avail.Intersect(masks[p])
 		}
-		node, ok := sn.Automaton(p).(*StoreNode)
-		return ok && node.DoneOn(eff)
-	})
+	}
+	return done
+}
+
+// storeStop returns the stop predicate of one runner: every client has
+// finished its work on the shards of its own entry of done (indexed by
+// ProcID; in StoreSweep, the available shards it can reach). A client that
+// finished stays finished for the rest of the run — its busy set only
+// shrinks once its script is loaded — so the predicate keeps a cursor past
+// the finished clients and a step tests the first unfinished one only. A
+// new automaton at the first client marks the next run and rewinds the
+// cursor; holding the previous one keeps its address from being reused.
+// The cursor is per-runner state, so every runner needs its own predicate.
+func storeStop(clients dist.ProcSet, done []ShardSet) func(*sim.Snapshot) bool {
+	order := clients.Members()
+	if len(order) == 0 {
+		return func(*sim.Snapshot) bool { return true }
+	}
+	var run sim.Automaton
+	next := 0
+	return func(sn *sim.Snapshot) bool {
+		if a := sn.Automaton(order[0]); a != run {
+			run, next = a, 0
+		}
+		for ; next < len(order); next++ {
+			p := order[next]
+			if node, ok := sn.Automaton(p).(*StoreNode); !ok || !node.DoneOn(done[p]) {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 // VerifyStoreRun checks one finished store run end to end: every correct

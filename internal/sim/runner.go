@@ -248,6 +248,7 @@ type Runner struct {
 	correct    dist.ProcSet
 
 	tr        *trace.Trace
+	traceHint int // initial capacity of the next run's trace
 	lastEmu   []any
 	hasEmu    []bool
 	delivered Message // scratch copy of the message handed to the stepping automaton
@@ -257,7 +258,7 @@ type Runner struct {
 	recoverEvents []crashEvent
 	recoverPos    int
 
-	view View // reused scheduler view; Pending/Decided bound once
+	view View // reused scheduler view; HasPending/Decided bound once
 	env  Env  // reused step context
 	snap Snapshot
 
@@ -336,10 +337,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r.snap = Snapshot{r: r}
 	r.view = View{
-		N:       n,
-		Correct: r.correct,
-		Pending: r.viewPending,
-		Decided: r.viewDecided,
+		N:          n,
+		Correct:    r.correct,
+		HasPending: r.viewHasPending,
+		Decided:    r.viewDecided,
 	}
 	r.env.history = cfg.History
 	// The pattern is part of the configured system and must not change over
@@ -404,9 +405,15 @@ func (r *Runner) reset() {
 		r.automata[p-1] = r.cfg.Program(p, r.n)
 	}
 
+	// Every run gets a trace of its own (Result hands it out), presized from
+	// the previous run's event count plus 1/8 headroom so recording does
+	// not regrow it from empty.
+	if r.tr != nil {
+		r.traceHint = r.tr.Len() + r.tr.Len()/8
+	}
 	r.tr = nil
 	if !r.cfg.DisableTrace {
-		r.tr = &trace.Trace{}
+		r.tr = trace.New(r.traceHint)
 	}
 
 	// Record initial emulator outputs at time -1 so OutputAt is defined from
@@ -449,9 +456,9 @@ func (r *Runner) Run() (*Result, error) {
 	return res, r.err
 }
 
-// viewPending and viewDecided back the scheduler view; binding them as
+// viewHasPending and viewDecided back the scheduler view; binding them as
 // method values once per runner replaces the per-step closure pair.
-func (r *Runner) viewPending(p dist.ProcID) int { return r.pendingCount(p, r.now) }
+func (r *Runner) viewHasPending(p dist.ProcID) bool { return r.hasPending(p, r.now) }
 
 func (r *Runner) viewDecided(p dist.ProcID) bool { return r.decidedSet.Contains(p) }
 
@@ -682,21 +689,22 @@ func (r *Runner) deliverable(e *inboxEntry, t dist.Time) bool {
 	return true
 }
 
-func (r *Runner) pendingCount(p dist.ProcID, t dist.Time) int {
+// hasPending reports whether p has a deliverable message at time t,
+// stopping at the first one.
+func (r *Runner) hasPending(p dist.ProcID, t dist.Time) bool {
 	q := &r.inboxes[p]
 	// Fast path: without a filter or faults every live entry is deliverable
 	// (notBefore is only ever set by fault-injected delay).
 	if r.cfg.DeliveryFilter == nil && r.cfg.Faults == nil {
-		return q.live
+		return q.live > 0
 	}
-	cnt := 0
 	for i := q.head; i < len(q.buf); i++ {
 		e := &q.buf[i]
 		if !e.gone && r.deliverable(e, t) {
-			cnt++
+			return true
 		}
 	}
-	return cnt
+	return false
 }
 
 // pickMessage selects and removes the message delivered to p at time t per

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/trace"
 )
 
 // TestRunnerResetMatchesOneShotRuns is the contract of the sweep API: a
@@ -236,9 +238,9 @@ func (a *steadyState) Step(e *Env) {
 func TestRunnerSteadyStateStepIsAllocationFree(t *testing.T) {
 	f := dist.NewFailurePattern(4)
 	r, err := NewRunner(Config{
-		Pattern: f,
-		History: nilHistory(),
-		Program: func(p dist.ProcID, n int) Automaton { return &steadyState{self: p} },
+		Pattern:   f,
+		History:   nilHistory(),
+		Program:   func(p dist.ProcID, n int) Automaton { return &steadyState{self: p} },
 		Scheduler: NewRandomScheduler(0), MaxSteps: 5000, DisableTrace: true,
 	})
 	if err != nil {
@@ -257,5 +259,76 @@ func TestRunnerSteadyStateStepIsAllocationFree(t *testing.T) {
 	perStep := allocs / 5000
 	if perStep > 0.02 {
 		t.Fatalf("steady-state run allocates %.1f times (%.4f/step), want ≈0/step", allocs, perStep)
+	}
+}
+
+// chatterAutomaton broadcasts its step count on every third step, so its
+// traces grow with the run's length.
+type chatterAutomaton struct{ steps int }
+
+func (a *chatterAutomaton) Step(e *Env) {
+	a.steps++
+	if a.steps%3 == 1 {
+		e.Broadcast(a.steps)
+	}
+}
+
+// TestRunnerTraceCapacityHintLeaksNothing runs a long, a short and a long
+// run again on one reused runner. Each run's trace is presized from the
+// previous run's length, which must change capacity only: every trace
+// equals a fresh runner's trace of the same seed event for event, and the
+// traces already handed out stay intact while later runs record.
+func TestRunnerTraceCapacityHintLeaksNothing(t *testing.T) {
+	f := dist.NewFailurePattern(5)
+	f.CrashAt(4, 90)
+	limit := dist.Time(0)
+	cfg := Config{
+		Pattern: f, History: nilHistory(),
+		Program:   func(dist.ProcID, int) Automaton { return &chatterAutomaton{} },
+		Scheduler: NewRandomScheduler(0),
+		Faults:    &FaultPlan{Seed: 5, Loss: 0.1, Dup: 0.1, MaxDelay: 3},
+		StopWhen:  func(sn *Snapshot) bool { return sn.Now() >= limit },
+	}
+	reused, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		seed  int64
+		limit dist.Time
+	}
+	runs := []run{{seed: 3, limit: 600}, {seed: 4, limit: 30}, {seed: 5, limit: 600}}
+	var got, want []*trace.Trace
+	for _, rn := range runs {
+		limit = rn.limit
+		res, err := reused.Reset(rn.seed).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, res.Trace)
+		fresh := cfg
+		fresh.Scheduler = NewRandomScheduler(0)
+		r, err := NewRunner(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err = r.Reset(rn.seed).Run(); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res.Trace)
+	}
+	if got[1].Len() >= got[0].Len() || got[2].Len() <= got[1].Len() {
+		t.Fatalf("trace lengths %d, %d, %d: want long, short, long", got[0].Len(), got[1].Len(), got[2].Len())
+	}
+	for i := range runs {
+		g, w := got[i].Events(), want[i].Events()
+		if len(g) != len(w) {
+			t.Fatalf("run %d (seed %d): %d events on the reused runner, %d on a fresh one", i, runs[i].seed, len(g), len(w))
+		}
+		for j := range g {
+			if !reflect.DeepEqual(g[j], w[j]) {
+				t.Fatalf("run %d (seed %d) event %d: reused %+v, fresh %+v", i, runs[i].seed, j, g[j], w[j])
+			}
+		}
 	}
 }

@@ -40,8 +40,8 @@ type View struct {
 	N       int
 	Alive   dist.ProcSet // processes that have not crashed at Now
 	Correct dist.ProcSet
-	// Pending returns the number of deliverable messages queued for p.
-	Pending func(p dist.ProcID) int
+	// HasPending reports whether a deliverable message is queued for p.
+	HasPending func(p dist.ProcID) bool
 	// Decided reports whether p has decided.
 	Decided func(p dist.ProcID) bool
 }
@@ -56,6 +56,10 @@ type Scheduler interface {
 // delivered (the runner force-delivers messages older than MaxDelay whenever
 // the receiver steps with DeliverAuto). It models the asynchronous
 // adversary used to exercise algorithms across many interleavings.
+//
+// A pick costs O(1) whatever the system size: the bounded-bypass candidate
+// is the head of a least-recently-stepped list, and only a change of the
+// alive set (a crash or a recovery) or a Reseed relinks it, in O(n).
 type RandomScheduler struct {
 	rng *rand.Rand
 	// NullProb is the probability that a step with pending messages is
@@ -65,13 +69,56 @@ type RandomScheduler struct {
 	// alive process. Default 4n.
 	MaxSkip int
 
-	lastStep [dist.MaxProcs + 1]int64
-	tick     int64
-	// The alive set only changes at crash times, so the materialized member
-	// list is cached keyed on the set value (== is a cheap word compare)
-	// rather than rebuilt every step.
+	tick int64
+	// lastStep, the lists and members are indexed by ProcID (slot 0 is the
+	// lists' sentinel) and sized on first use to the system at hand; they
+	// only ever grow, so a scheduler reused across runs allocates once.
+	lastStep []int64
+
+	// Least-recently-stepped order. order links every process seen alive
+	// since the last Reseed and alive the currently alive ones, both sorted
+	// by (lastStep, ProcID): the stepping process takes the unique newest
+	// lastStep and moves to both tails, and a crashed process keeps its
+	// place in order because its lastStep freezes. The head of alive is
+	// therefore the most starved alive process, ties in ProcID order.
+	order, alive lrsList
+	seen         dist.ProcSet // the members of order
+	// aliveKey is the alive set that alive and members were linked for;
+	// it only changes at crash and recovery times (== is a word compare).
 	aliveKey dist.ProcSet
-	scratch  []dist.ProcID
+	members  []dist.ProcID // alive processes in ProcID order
+}
+
+// lrsList is an intrusive circular doubly linked list of ProcIDs. Slot 0
+// (dist.None) is the sentinel: next[0] is the head and prev[0] the tail.
+type lrsList struct {
+	next, prev []dist.ProcID
+}
+
+func (l *lrsList) clear() { l.next[0], l.prev[0] = dist.None, dist.None }
+
+// grow makes room for ProcIDs up to n, keeping the links.
+func (l *lrsList) grow(n int) {
+	l.next = append(l.next, make([]dist.ProcID, n+1-len(l.next))...)
+	l.prev = append(l.prev, make([]dist.ProcID, n+1-len(l.prev))...)
+}
+
+func (l *lrsList) head() dist.ProcID { return l.next[0] }
+
+// insertBefore links p in front of at (dist.None appends at the tail).
+func (l *lrsList) insertBefore(p, at dist.ProcID) {
+	prev := l.prev[at]
+	l.next[prev], l.prev[p] = p, prev
+	l.next[p], l.prev[at] = at, p
+}
+
+// moveToBack relinks the member p at the tail.
+func (l *lrsList) moveToBack(p dist.ProcID) {
+	if l.prev[0] == p {
+		return
+	}
+	l.next[l.prev[p]], l.prev[l.next[p]] = l.next[p], l.prev[p]
+	l.insertBefore(p, dist.None)
 }
 
 var _ Scheduler = (*RandomScheduler)(nil)
@@ -94,17 +141,60 @@ func (s *RandomScheduler) Reseed(seed int64) {
 		s.rng.Seed(seed)
 	}
 	s.tick = 0
-	s.lastStep = [dist.MaxProcs + 1]int64{}
+	clear(s.lastStep)
+	if len(s.lastStep) > 0 {
+		s.order.clear()
+		s.alive.clear()
+	}
+	s.seen = dist.ProcSet{}
+	s.aliveKey = dist.ProcSet{}
+	s.members = s.members[:0]
+}
+
+// size makes room for the processes of an n-process system and has the
+// next pick relink the alive list.
+func (s *RandomScheduler) size(n int) {
+	s.lastStep = append(s.lastStep, make([]int64, n+1-len(s.lastStep))...)
+	s.order.grow(n)
+	s.alive.grow(n)
+	s.members = make([]dist.ProcID, 0, n)
+	s.aliveKey = dist.ProcSet{}
+}
+
+// relink rebuilds the alive list and the member table for a new alive set,
+// in O(n) and without allocating. A process alive for the first time since
+// Reseed has never stepped, so it belongs in order's never-stepped prefix
+// (lastStep 0) in ProcID order; one merge pass places every newcomer.
+func (s *RandomScheduler) relink(alive dist.ProcSet) {
+	at := s.order.head()
+	for fresh := alive.Minus(s.seen); !fresh.IsEmpty(); {
+		p := fresh.Min()
+		fresh = fresh.Remove(p)
+		for at != dist.None && s.lastStep[at] == 0 && at < p {
+			at = s.order.next[at]
+		}
+		s.order.insertBefore(p, at)
+	}
+	s.seen = s.seen.Union(alive)
+	s.alive.clear()
+	for p := s.order.head(); p != dist.None; p = s.order.next[p] {
+		if alive.Contains(p) {
+			s.alive.insertBefore(p, dist.None)
+		}
+	}
+	s.members = alive.AppendMembers(s.members[:0])
+	s.aliveKey = alive
 }
 
 // Next implements Scheduler.
 func (s *RandomScheduler) Next(v *View) (Choice, bool) {
-	if v.Alive != s.aliveKey {
-		s.scratch = v.Alive.AppendMembers(s.scratch[:0])
-		s.aliveKey = v.Alive
+	if v.N >= len(s.lastStep) {
+		s.size(v.N)
 	}
-	alive := s.scratch
-	if len(alive) == 0 {
+	if v.Alive != s.aliveKey {
+		s.relink(v.Alive)
+	}
+	if len(s.members) == 0 {
 		return Choice{}, false
 	}
 	s.tick++
@@ -114,21 +204,16 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 	}
 	// Bounded bypass: pick the most starved process when it has waited too
 	// long, otherwise pick uniformly.
-	var pick dist.ProcID
-	var worst int64 = -1
-	for _, p := range alive {
-		age := s.tick - s.lastStep[p]
-		if age > int64(maxSkip) && age > worst {
-			worst, pick = age, p
-		}
-	}
-	if pick == dist.None {
-		pick = alive[s.rng.Intn(len(alive))]
+	pick := s.alive.head()
+	if s.tick-s.lastStep[pick] <= int64(maxSkip) {
+		pick = s.members[s.rng.Intn(len(s.members))]
 	}
 	s.lastStep[pick] = s.tick
+	s.order.moveToBack(pick)
+	s.alive.moveToBack(pick)
 
 	mode := DeliverAuto
-	if v.Pending(pick) > 0 && s.rng.Float64() < s.NullProb {
+	if v.HasPending(pick) && s.rng.Float64() < s.NullProb {
 		// Occasional null steps despite pending messages; the runner's
 		// MaxDelay watchdog still guarantees eventual delivery.
 		mode = DeliverNone

@@ -111,6 +111,12 @@ type Trace struct {
 	events []Event
 }
 
+// New returns an empty trace with room for capHint events before its
+// storage first grows. The zero Trace is an empty trace too.
+func New(capHint int) *Trace {
+	return &Trace{events: make([]Event, 0, max(capHint, 0))}
+}
+
 // Append adds an event to the trace.
 func (tr *Trace) Append(e Event) { tr.events = append(tr.events, e) }
 
