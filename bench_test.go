@@ -37,62 +37,6 @@ func reportRun(b *testing.B, steps, msgs int64) {
 	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 }
 
-// reportLatency reports the per-operation latency tail of a store benchmark
-// in client steps. Latencies are schedule-determined (seeds 0..b.N-1), so at
-// a fixed iteration count the percentiles are exactly reproducible — they
-// can be regression-gated like msgs/op, unlike wall-clock metrics.
-func reportLatency(b *testing.B, lat *sweep.Hist) {
-	b.Helper()
-	if lat.Count == 0 {
-		return
-	}
-	b.ReportMetric(float64(lat.Quantile(0.50)), "lat_p50_steps")
-	b.ReportMetric(float64(lat.Quantile(0.99)), "lat_p99_steps")
-	b.ReportMetric(float64(lat.Quantile(0.999)), "lat_p999_steps")
-}
-
-// storeLats accumulates the per-op metrics of store runs: the latency
-// histogram plus its clean/faulted fault-exposure split (an op is faulted
-// once it pays a retransmit, which parked-behind-a-partition ops always do),
-// and the run's fast-read/fallback counters.
-type storeLats struct {
-	lat, clean, faulted  sweep.Hist
-	fastReads, fallbacks int64
-}
-
-// merge folds every store node's histograms and counters of one finished run
-// into the accumulator (replicas without scripts contribute empty hists).
-func (l *storeLats) merge(res *sim.Result) {
-	for _, a := range res.Automata {
-		if node, ok := a.(*register.StoreNode); ok {
-			l.lat.Merge(node.LatencyHist())
-			l.clean.Merge(node.CleanLatencyHist())
-			l.faulted.Merge(node.FaultedLatencyHist())
-			l.fastReads += node.FastReads()
-			l.fallbacks += node.ReadFallbacks()
-		}
-	}
-}
-
-// report emits the latency tail plus, when populated, the clean/faulted
-// split (only fault rows ever tag an op faulted — on clean rows the split
-// would duplicate the total) and the fast-read counters per completed op
-// (only FastReads rows produce them).
-func (l *storeLats) report(b *testing.B, completed int64) {
-	b.Helper()
-	reportLatency(b, &l.lat)
-	if l.faulted.Count > 0 {
-		b.ReportMetric(float64(l.clean.Quantile(0.50)), "lat_clean_p50_steps")
-		b.ReportMetric(float64(l.clean.Quantile(0.99)), "lat_clean_p99_steps")
-		b.ReportMetric(float64(l.faulted.Quantile(0.50)), "lat_faulted_p50_steps")
-		b.ReportMetric(float64(l.faulted.Quantile(0.99)), "lat_faulted_p99_steps")
-	}
-	if l.fastReads > 0 || l.fallbacks > 0 {
-		b.ReportMetric(float64(l.fastReads)/float64(completed), "fastreads/op")
-		b.ReportMetric(float64(l.fallbacks)/float64(completed), "fallbacks/op")
-	}
-}
-
 // newRunner fails the benchmark on configuration errors.
 func newRunner(b *testing.B, cfg sim.Config) *sim.Runner {
 	b.Helper()
@@ -400,20 +344,19 @@ func BenchmarkABDRegister(b *testing.B) {
 // store: one zipf-skewed keyed workload, completed client operations per
 // second of wall clock as the headline metric. E17 is throughput vs the
 // client pipelining window (window > 1 must strictly beat window = 1 on the
-// same seed set); E18 is the request-batching ablation (one message per
-// request instead of one batch per step), visible in msgs/op. E19 shards
-// the same key space across disjoint replica groups at the E17 window=8
-// operating point: replica-bytes/node must shrink with the shard count
-// (each process only replicates its own shard) while shards=1 stays within
-// noise of E17's window=8 row. E20 turns batching off on the sharded store
-// (batches coalesce per destination shard, so the ablation measures what
-// per-shard coalescing buys). E21 is the allocation trajectory of the
-// pooled hot path, read off every row's allocs/op (the steady-state-zero
-// tripwire is TestStoreAllocsPerStep); E22 turns reply piggybacking on at
-// the E19 operating points — msgs/op must fall strictly below the matching
-// E19 row, every entry kind for one destination folded into one frame per
-// step; E23 runs a whole-group shard crash and compares a fixed window
-// against the AIMD per-shard controller on healthy-shard throughput.
+// same seed set). E19 shards the same key space across disjoint replica
+// groups at the E17 window=8 operating point: replica-bytes/node must shrink
+// with the shard count (each process only replicates its own shard) while
+// shards=1 stays within noise of E17's window=8 row. E18 and E20, the
+// one-message-per-request batching ablations, are retired: they lost on
+// every metric and the unbatched path is gone. E21 is the allocation
+// trajectory of the pooled hot path, read off every row's allocs/op (the
+// steady-state-zero tripwire is TestStoreAllocsPerStep); E22 turns reply
+// piggybacking on at the E19 operating points — msgs/op must fall strictly
+// below the matching E19 row, every entry kind for one destination folded
+// into one frame per step; E23 runs a whole-group shard crash and compares
+// a fixed window against the AIMD per-shard controller on healthy-shard
+// throughput.
 // E24 turns the adversarial network on (loss, duplication, bounded extra
 // delay) with retransmission armed: every op must still complete, and the
 // price shows up as retransmits/op, drops/op and dups/op. E25 adds a
@@ -442,474 +385,227 @@ func BenchmarkABDRegister(b *testing.B) {
 // healing at t=150) — every client op still completes and the recovered
 // replica repopulates purely through protocol traffic.
 func BenchmarkStore(b *testing.B) {
-	const n, keys, opsPerClient = 5, 12, 12
-	f := dist.NewFailurePattern(n)
-	s := dist.RangeSet(1, 3)
-	runWR := func(b *testing.B, cfg register.StoreConfig, wlShards int, writeRatio float64) {
-		scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-			N: n, S: s, Keys: keys, Shards: wlShards, OpsPerClient: opsPerClient,
-			WriteRatio: writeRatio, Skew: 1.3, Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		total := register.TotalKeyedOps(scripts)
-		prog, err := register.StoreProgram(n, s, cfg, scripts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := newRunner(b, sim.Config{
-			Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-			Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000, DisableTrace: true,
-			StopWhen: func(sn *sim.Snapshot) bool {
-				return register.StoreClientsDone(sn, s)
-			},
-		})
-		var steps, msgs, completed, replicaBytes int64
-		var lats storeLats
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := r.Reset(int64(i)).Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			done := 0
-			replicaBytes = 0
-			for _, a := range res.Automata {
-				if node, ok := a.(*register.StoreNode); ok {
-					done += node.CompletedOps()
-					replicaBytes += int64(node.ReplicaStateBytes())
-				}
-			}
-			if done != total {
-				b.Fatalf("seed %d completed %d/%d ops (%s)", i, done, total, res.Reason)
-			}
-			completed += int64(done)
-			steps += res.Steps
-			msgs += res.MessagesSent
-			lats.merge(res)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
-		b.ReportMetric(float64(replicaBytes)/float64(n), "replica-B/node")
-		reportRun(b, steps, msgs)
-		lats.report(b, completed)
+	const keys = 12
+	run := func(name string, row storeRow) {
+		b.Run(name, func(b *testing.B) { runStoreRow(b, row) })
 	}
-	run := func(b *testing.B, cfg register.StoreConfig, wlShards int) {
-		runWR(b, cfg, wlShards, -1)
+	// row is the n=5 operating point every E17–E28/E31 row shares: clients
+	// p1..p3, 12 ops each on the generator's default read/write mix.
+	row := func(cfg register.StoreConfig) storeRow {
+		return storeRow{
+			n: 5, s: dist.RangeSet(1, 3), cfg: cfg,
+			ops: 12, writeRatio: -1, skew: 1.3, wlSeed: 42, stab: 15, maxSteps: 500_000,
+		}
 	}
 	// E17: throughput vs pipelining window.
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(benchName("window", w), func(b *testing.B) {
-			run(b, register.StoreConfig{Keys: keys, Window: w}, 0)
-		})
+		run(benchName("window", w), row(register.StoreConfig{Keys: keys, Window: w}))
 	}
-	// E18: batching off at the widest window.
-	b.Run("window=8-nobatch", func(b *testing.B) {
-		run(b, register.StoreConfig{Keys: keys, Window: 8, DisableBatching: true}, 0)
-	})
 	// E19: replica state and throughput vs shard count at window=8
 	// (shards=1 doubles as the E17 window=8 parity check).
 	for _, sc := range []int{1, 2, 4} {
-		b.Run(benchName("shards", sc), func(b *testing.B) {
-			run(b, register.StoreConfig{Keys: keys, Shards: sc, Window: 8}, sc)
-		})
+		run(benchName("shards", sc), row(register.StoreConfig{Keys: keys, Shards: sc, Window: 8}))
 	}
-	// E20: the batching ablation on the sharded store.
-	b.Run("shards=4-nobatch", func(b *testing.B) {
-		run(b, register.StoreConfig{Keys: keys, Shards: 4, Window: 8, DisableBatching: true}, 4)
-	})
 	// E22: reply piggybacking at the E19 operating points — msgs/op must
 	// fall strictly below the matching E19 rows.
-	b.Run("shards=1-piggyback", func(b *testing.B) {
-		run(b, register.StoreConfig{Keys: keys, Window: 8, Piggyback: true}, 0)
-	})
-	b.Run("shards=4-piggyback", func(b *testing.B) {
-		run(b, register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true}, 4)
-	})
+	run("shards=1-piggyback", row(register.StoreConfig{Keys: keys, Window: 8, Piggyback: true}))
+	run("shards=4-piggyback", row(register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true}))
 	// E23: healthy-shard throughput under a whole-group crash, fixed
 	// window vs the adaptive controller at the same start window: the
 	// controller grows the healthy shard toward the cap (2× start) and
-	// decays the dead shard to 1 instead of pinning client effort.
-	b.Run("crashshard-fixed", func(b *testing.B) {
-		runStoreCrashShard(b, register.StoreConfig{Keys: keys, Shards: 2, Window: 2})
-	})
-	b.Run("crashshard-adaptive", func(b *testing.B) {
-		runStoreCrashShard(b, register.StoreConfig{Keys: keys, Shards: 2, Window: 2, AdaptiveWindow: true, MaxWindow: 4})
-	})
+	// decays the dead shard to 1 instead of pinning client effort. Shard 1's
+	// whole group ({p2, p4}) is dead from the start and every client sits
+	// in shard 0's surviving group, so only shard-0 ops can complete.
+	crashShard := func(cfg register.StoreConfig) storeRow {
+		r := row(cfg)
+		r.s = dist.NewProcSet(1, 3, 5)
+		r.crash = func(f *dist.FailurePattern, m *register.ShardMap) {
+			for _, p := range m.Group(1).Members() {
+				f.CrashAt(p, 0)
+			}
+		}
+		return r
+	}
+	run("crashshard-fixed", crashShard(register.StoreConfig{Keys: keys, Shards: 2, Window: 2}))
+	run("crashshard-adaptive", crashShard(register.StoreConfig{Keys: keys, Shards: 2, Window: 2, AdaptiveWindow: true, MaxWindow: 4}))
 	// E26: the delay budget closed-loop at the E22 shards=4 piggyback point
 	// (coalesce=0 must reproduce that row bit for bit).
 	for _, d := range []int{0, 2, 8} {
-		b.Run(benchName("coalesce", d), func(b *testing.B) {
-			run(b, register.StoreConfig{
-				Keys: keys, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: d,
-			}, 4)
-		})
+		run(benchName("coalesce", d), row(register.StoreConfig{
+			Keys: keys, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: d,
+		}))
 	}
 	// E27: open-loop arrivals at ~80% of closed-loop capacity.
 	for _, d := range []int{0, 2, 8} {
-		b.Run(benchName("openloop-coalesce", d), func(b *testing.B) {
-			run(b, register.StoreConfig{
-				Keys: keys, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: d,
-				OpenLoop: true, ArrivalGap: 5, ArrivalJitter: true,
-			}, 4)
-		})
+		run(benchName("openloop-coalesce", d), row(register.StoreConfig{
+			Keys: keys, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: d,
+			OpenLoop: true, ArrivalGap: 5, ArrivalJitter: true,
+		}))
 	}
 	// E28: open-loop overload — arrivals faster than the store can serve.
 	for _, d := range []int{0, 2, 8} {
-		b.Run(benchName("overload-coalesce", d), func(b *testing.B) {
-			run(b, register.StoreConfig{
-				Keys: keys, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: d,
-				OpenLoop: true, ArrivalGap: 2, ArrivalJitter: true,
-			}, 4)
-		})
+		run(benchName("overload-coalesce", d), row(register.StoreConfig{
+			Keys: keys, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: d,
+			OpenLoop: true, ArrivalGap: 2, ArrivalJitter: true,
+		}))
 	}
 	// E31: the fast-read operating point — read-heavy zipf (write ratio
 	// 0.1), failure-free, at the E22 shards=4 piggyback configuration. The
 	// on row elides the write-back round on (nearly) every read.
-	b.Run("readheavy-fastread-off", func(b *testing.B) {
-		runWR(b, register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true}, 4, 0.1)
-	})
-	b.Run("readheavy-fastread-on", func(b *testing.B) {
-		runWR(b, register.StoreConfig{
-			Keys: keys, Shards: 4, Window: 8, Piggyback: true, FastReads: true,
-		}, 4, 0.1)
-	})
+	readHeavy := func(fastReads bool) storeRow {
+		r := row(register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true, FastReads: fastReads})
+		r.writeRatio = 0.1
+		return r
+	}
+	run("readheavy-fastread-off", readHeavy(false))
+	run("readheavy-fastread-on", readHeavy(true))
 	// E29/E30: the multi-word scale points — systems past the old 64-process
-	// ceiling, 8-replica shard groups, the E24-style network (loss + dup +
-	// delay + a healing partition between two groups) with retransmission
-	// and adaptive windows armed. One client per shard group.
-	b.Run("scale-n=128-shards=16", func(b *testing.B) {
-		runStoreScaleFaults(b, 128, 16, 16, 4, false)
-	})
-	b.Run("scale-n=256-shards=32", func(b *testing.B) {
-		runStoreScaleFaults(b, 256, 32, 32, 3, false)
-	})
+	// ceiling, 8-replica shard groups, the E24-style network (3% loss, 3%
+	// dup, up to 3 ticks of extra delay and a partition cutting group 0 off
+	// group 1 during [60, 300) before healing) with retransmission and
+	// adaptive windows armed. One client per shard group.
+	scale := func(n, shards, ops int, fastReads bool) storeRow {
+		return storeRow{
+			n: n, s: dist.RangeSet(1, dist.ProcID(shards)),
+			cfg: register.StoreConfig{
+				Keys: 64, Shards: shards, Window: 2,
+				AdaptiveWindow: true, MaxWindow: 6, StallSteps: 8,
+				Retransmit: true, RTO: 24, MaxRTO: 96,
+				FastReads: fastReads,
+			},
+			ops: ops, writeRatio: -1, skew: 1.2, wlSeed: 808,
+			faults: func(m *register.ShardMap) *sim.FaultPlan {
+				return &sim.FaultPlan{
+					Seed: 7, Loss: 0.03, Dup: 0.03, MaxDelay: 3,
+					Partitions: []dist.Partition{{A: m.Group(0), B: m.Group(1), From: 60, Until: 300}},
+				}
+			},
+			stab: 20, maxSteps: 2_000_000,
+		}
+	}
+	run("scale-n=128-shards=16", scale(128, 16, 4, false))
+	run("scale-n=256-shards=32", scale(256, 32, 3, false))
 	// E33: fast reads at the n=128 scale point under the same adversarial
 	// network — unanimity breaks across 8-replica groups, so the elision
 	// rate here is the realistic one, not the failure-free ceiling.
-	b.Run("scale-n=128-shards=16-fastread", func(b *testing.B) {
-		runStoreScaleFaults(b, 128, 16, 16, 4, true)
-	})
-	// E24: lossy, duplicating, delaying network with retransmission armed.
-	b.Run("faults-loss", func(b *testing.B) {
-		runStoreFaults(b,
-			register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Retransmit: true, RTO: 16},
-			false)
-	})
-	// E25: the E24 network plus a partition between two shard groups that
-	// heals mid-run — parked ops must resume and complete.
-	b.Run("faults-partition", func(b *testing.B) {
-		runStoreFaults(b,
-			register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Retransmit: true, RTO: 16},
-			true)
-	})
+	run("scale-n=128-shards=16-fastread", scale(128, 16, 4, true))
+	// E24: lossy, duplicating, delaying network (5% loss, 5% dup, up to 3
+	// ticks of extra delay) with retransmission armed. E25 adds a partition
+	// between shard groups 1 and 2 during [50, 400) that heals, so parked
+	// ops must resume and complete.
+	faults := func(fastReads, partition bool) storeRow {
+		r := row(register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Retransmit: true, RTO: 16, FastReads: fastReads})
+		r.faults = func(m *register.ShardMap) *sim.FaultPlan {
+			fp := &sim.FaultPlan{Seed: 7, Loss: 0.05, Dup: 0.05, MaxDelay: 3}
+			if partition {
+				fp.Partitions = []dist.Partition{{A: m.Group(1), B: m.Group(2), From: 50, Until: 400}}
+			}
+			return fp
+		}
+		return r
+	}
+	run("faults-loss", faults(false, false))
+	run("faults-partition", faults(false, true))
 	// E32: fast reads on the E25 network — loss and the partition break
 	// phase-1 unanimity, so completion leans on the write-back fallback and
 	// the confirmed-timestamp rescue; fastreads/op and fallbacks/op report
 	// how often each fired, and the clean/faulted split prices the fallback.
-	b.Run("faults-partition-fastread", func(b *testing.B) {
-		runStoreFaults(b,
-			register.StoreConfig{
-				Keys: keys, Shards: 4, Window: 8, Retransmit: true, RTO: 16, FastReads: true,
-			},
-			true)
-	})
+	run("faults-partition-fastread", faults(true, true))
 	// E35: replica crash + volatile-state loss + recovery under the shared
-	// E35–E37 adversarial network.
-	b.Run("faults-recovery", runStoreRecovery)
+	// E35–E37 adversarial network. The n=6/shards=3 store (groups {1,4},
+	// {2,5}, {3,6}) loses p5 at t=40 and gets it back at t=120 with its
+	// shard-1 timestamps, values and confirmed marks wiped. The one-way
+	// partition parks shard-1 operations past the recovery, so the rejoined
+	// replica sees live quorum traffic and must have repopulated when the
+	// run stops.
+	recovery := row(register.StoreConfig{
+		Keys: keys, Shards: 3, Window: 2, Piggyback: true, Retransmit: true, RTO: 16,
+	})
+	recovery.n, recovery.ops = 6, 10
+	recovery.crash = func(f *dist.FailurePattern, _ *register.ShardMap) {
+		f.CrashAt(5, 40)
+		f.RecoverAt(5, 120)
+	}
+	recovery.faults = func(*register.ShardMap) *sim.FaultPlan { return sharedAdversary() }
+	recovery.check = func(res *sim.Result) error {
+		if res.Automata[4].(*register.StoreNode).ReplicaStateBytes() == 0 {
+			return fmt.Errorf("recovered p5 holds no replica state — the wipe was never repopulated")
+		}
+		return nil
+	}
+	run("faults-recovery", recovery)
 }
 
-// sharedAdversary is the network the E35 store row and the E36/E37 consensus
-// rows all run under — the SAME sim.FaultPlan value, so msgs/op (sharing)
-// and msgs/decision (agreeing) are directly comparable on one adversary: 5%
-// loss, 5% duplication, up to 2 ticks of extra delay, and a one-way
-// partition cutting {p1,p3} off from p2 during [30, 150) before healing.
-func sharedAdversary() *sim.FaultPlan {
-	return &sim.FaultPlan{
-		Seed: 7, Loss: 0.05, Dup: 0.05, MaxDelay: 2,
-		Partitions: []dist.Partition{{
-			A: dist.NewProcSet(1, 3), B: dist.NewProcSet(2), From: 30, Until: 150, OneWay: true,
-		}},
-	}
+// storeRow is one BenchmarkStore row: the system and store configuration,
+// the workload shape, the crash/recovery pattern and fault plan it runs
+// under, the Σ_S stabilization time and step budget of each run, and an
+// optional extra per-run check.
+type storeRow struct {
+	n          int
+	s          dist.ProcSet
+	cfg        register.StoreConfig
+	ops        int     // scripted ops per client
+	writeRatio float64 // -1: the generator's default mix
+	skew       float64
+	wlSeed     int64
+	crash      func(f *dist.FailurePattern, m *register.ShardMap) // nil: no crash
+	faults     func(m *register.ShardMap) *sim.FaultPlan          // nil: reliable network
+	stab       dist.Time
+	maxSteps   int64
+	check      func(res *sim.Result) error // nil: none
 }
 
-// runStoreRecovery is the E35 harness: the n=6/shards=3 store (groups {1,4},
-// {2,5}, {3,6}) with replica p5 crashed at t=40 and recovered at t=120 — its
-// shard-1 timestamps, values and confirmed marks wiped — under the shared
-// adversarial network with retransmission armed. The one-way partition parks
-// shard-1 operations past the recovery, so the rejoined replica sees live
-// quorum traffic; every client op completes (the partition heals at 150) and
-// the recovered replica must have repopulated when the run stops. The
-// recovery price lands in retransmits/op and the faulted latency split.
-func runStoreRecovery(b *testing.B) {
-	const n, shards, opsPerClient = 6, 3, 10
-	f := dist.NewFailurePattern(n)
-	f.CrashAt(5, 40)
-	f.RecoverAt(5, 120)
-	s := dist.RangeSet(1, 3)
-	cfg := register.StoreConfig{
-		Keys: 12, Shards: shards, Window: 2, Piggyback: true, Retransmit: true, RTO: 16,
+// runStoreRow runs one row for b.N scheduler seeds. Each run stops once the
+// correct clients have finished their work on the available shards, and
+// must complete exactly those ops — an op bound for a shard whose whole
+// group crashed can never finish and stays pending by design. Every row
+// reports the same metrics: ops/sec over the guaranteed completions,
+// msgs/op and steps/op per run, the fault price per completed op, replica
+// state per node and the latency tail; the clean/faulted split appears once
+// some op paid a retransmit, the fast-read counters once a read was fast.
+func runStoreRow(b *testing.B, row storeRow) {
+	m, err := row.cfg.ShardMap(row.n)
+	if err != nil {
+		b.Fatal(err)
 	}
-	fp := sharedAdversary()
+	f := dist.NewFailurePattern(row.n)
+	if row.crash != nil {
+		row.crash(f, m)
+	}
+	var fp *sim.FaultPlan
+	if row.faults != nil {
+		fp = row.faults(m)
+	}
 	scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-		N: n, S: s, Keys: cfg.Keys, Shards: shards, OpsPerClient: opsPerClient,
-		WriteRatio: -1, Skew: 1.3, Seed: 42,
+		N: row.n, S: row.s, Keys: row.cfg.Keys, Shards: row.cfg.Shards, OpsPerClient: row.ops,
+		WriteRatio: row.writeRatio, Skew: row.skew, Seed: row.wlSeed,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	total := register.TotalKeyedOps(scripts)
-	prog, err := register.StoreProgram(n, s, cfg, scripts)
+	clients, avail := row.s.Intersect(f.Correct()), m.Available(f.Correct())
+	want := 0
+	for _, p := range clients.Members() {
+		for _, op := range scripts[p-1] {
+			if avail.Has(m.Shard(op.Key)) {
+				want++
+			}
+		}
+	}
+	prog, err := register.StoreProgram(row.n, row.s, row.cfg, scripts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	r := newRunner(b, sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000, DisableTrace: true,
+		Pattern: f, History: fd.NewSigmaS(f, row.s, row.stab), Program: prog,
+		Scheduler: sim.NewRandomScheduler(0), MaxSteps: row.maxSteps, DisableTrace: true,
 		Faults: fp,
 		StopWhen: func(sn *sim.Snapshot) bool {
-			return register.StoreClientsDone(sn, s)
+			return register.StoreClientsDoneOn(sn, clients, avail)
 		},
 	})
-	var steps, msgs, completed, retransmits, drops, dups int64
-	var lats storeLats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Reset(int64(i)).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := 0
-		for _, a := range res.Automata {
-			if node, ok := a.(*register.StoreNode); ok {
-				done += node.CompletedOps()
-				retransmits += node.Retransmits()
-			}
-		}
-		if done != total {
-			b.Fatalf("seed %d completed %d/%d ops across the recovery (%s)", i, done, total, res.Reason)
-		}
-		if got := res.Automata[4].(*register.StoreNode).ReplicaStateBytes(); got == 0 {
-			b.Fatalf("seed %d: recovered p5 holds no replica state — the wipe was never repopulated", i)
-		}
-		completed += int64(done)
-		steps += res.Steps
-		msgs += res.MessagesSent
-		drops += res.MessagesDropped
-		dups += res.MessagesDuplicated
-		lats.merge(res)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
-	b.ReportMetric(float64(retransmits)/float64(completed), "retransmits/op")
-	b.ReportMetric(float64(drops)/float64(completed), "drops/op")
-	b.ReportMetric(float64(dups)/float64(completed), "dups/op")
-	reportRun(b, steps, msgs)
-	lats.report(b, completed)
-}
-
-// runStoreCrashShard is the E23 harness: shard 1's whole replica group
-// ({p2, p4} under the canonical n=5/shards=2 partition) is dead from the
-// start, every client sits in shard 0's surviving group, and the run stops
-// when all work routed to the healthy shard is complete. Throughput counts
-// only those guaranteed completions — ops bound for the dead shard can
-// never finish and stay pending by design.
-func runStoreCrashShard(b *testing.B, cfg register.StoreConfig) {
-	const n, opsPerClient = 5, 12
-	s := dist.NewProcSet(1, 3, 5)
-	m, err := cfg.ShardMap(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := dist.NewFailurePattern(n)
-	for _, p := range m.Group(1).Members() {
-		f.CrashAt(p, 0)
-	}
-	scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-		N: n, S: s, Keys: cfg.Keys, Shards: cfg.Shards, OpsPerClient: opsPerClient,
-		WriteRatio: -1, Skew: 1.3, Seed: 42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	healthy := 0 // ops routed to the surviving shard: guaranteed to complete
-	for _, sc := range scripts {
-		for _, op := range sc {
-			if m.Shard(op.Key) == 0 {
-				healthy++
-			}
-		}
-	}
-	prog, err := register.StoreProgram(n, s, cfg, scripts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	avail := m.Available(f.Correct())
-	r := newRunner(b, sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000, DisableTrace: true,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return register.StoreClientsDoneOn(sn, s, avail)
-		},
-	})
-	var steps, msgs, completed int64
-	var lats storeLats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Reset(int64(i)).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := 0
-		for _, a := range res.Automata {
-			if node, ok := a.(*register.StoreNode); ok {
-				done += node.CompletedOps()
-			}
-		}
-		if done != healthy {
-			b.Fatalf("seed %d completed %d ops, want exactly the %d healthy-shard ops (%s)", i, done, healthy, res.Reason)
-		}
-		completed += int64(done)
-		steps += res.Steps
-		msgs += res.MessagesSent
-		lats.merge(res)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
-	reportRun(b, steps, msgs)
-	lats.report(b, completed)
-}
-
-// runStoreFaults is the E24/E25 harness: a failure-free process set under
-// an adversarial network (5% loss, 5% duplication, up to 3 ticks of extra
-// delay), with retransmission armed so every scripted op still completes.
-// withPartition adds the E25 twist: two shard replica groups cannot talk
-// during [50, 400) and heal afterwards, so ops park and resume instead of
-// failing. The fault price is reported as retransmits/op, drops/op and
-// dups/op on top of the usual msgs/op.
-func runStoreFaults(b *testing.B, cfg register.StoreConfig, withPartition bool) {
-	const n, opsPerClient = 5, 12
-	f := dist.NewFailurePattern(n)
-	s := dist.RangeSet(1, 3)
-	m, err := cfg.ShardMap(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fp := &sim.FaultPlan{Seed: 7, Loss: 0.05, Dup: 0.05, MaxDelay: 3}
-	if withPartition {
-		fp.Partitions = []dist.Partition{
-			{A: m.Group(1), B: m.Group(2), From: 50, Until: 400},
-		}
-	}
-	scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-		N: n, S: s, Keys: cfg.Keys, Shards: cfg.Shards, OpsPerClient: opsPerClient,
-		WriteRatio: -1, Skew: 1.3, Seed: 42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	total := register.TotalKeyedOps(scripts)
-	prog, err := register.StoreProgram(n, s, cfg, scripts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := newRunner(b, sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000, DisableTrace: true,
-		Faults: fp,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return register.StoreClientsDone(sn, s)
-		},
-	})
-	var steps, msgs, completed, retransmits, drops, dups int64
-	var lats storeLats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Reset(int64(i)).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := 0
-		for _, a := range res.Automata {
-			if node, ok := a.(*register.StoreNode); ok {
-				done += node.CompletedOps()
-				retransmits += node.Retransmits()
-			}
-		}
-		if done != total {
-			b.Fatalf("seed %d completed %d/%d ops under faults (%s)", i, done, total, res.Reason)
-		}
-		completed += int64(done)
-		steps += res.Steps
-		msgs += res.MessagesSent
-		drops += res.MessagesDropped
-		dups += res.MessagesDuplicated
-		lats.merge(res)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
-	b.ReportMetric(float64(retransmits)/float64(completed), "retransmits/op")
-	b.ReportMetric(float64(drops)/float64(completed), "drops/op")
-	b.ReportMetric(float64(dups)/float64(completed), "dups/op")
-	reportRun(b, steps, msgs)
-	lats.report(b, completed)
-}
-
-// runStoreScaleFaults is the E29/E30 harness: an n-process store with
-// n/shards-replica groups and one client per group, under 3% loss, 3%
-// duplication, up to 3 ticks of extra delay and a partition cutting group 0
-// off group 1 during [60, 300) before healing. Retransmission and the
-// adaptive window controller are armed, so every scripted op completes —
-// including the parked cross-partition ones — and the fault price is
-// reported as retransmits/op, drops/op and dups/op. fastReads arms the E33
-// one-phase read path on the same workload and network.
-func runStoreScaleFaults(b *testing.B, n, shards, clients, opsPerClient int, fastReads bool) {
-	const keys = 64
-	f := dist.NewFailurePattern(n)
-	s := dist.RangeSet(1, dist.ProcID(clients))
-	cfg := register.StoreConfig{
-		Keys: keys, Shards: shards, Window: 2,
-		AdaptiveWindow: true, MaxWindow: 6, StallSteps: 8,
-		Retransmit: true, RTO: 24, MaxRTO: 96,
-		FastReads: fastReads,
-	}
-	m, err := cfg.ShardMap(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fp := &sim.FaultPlan{
-		Seed: 7, Loss: 0.03, Dup: 0.03, MaxDelay: 3,
-		Partitions: []dist.Partition{
-			{A: m.Group(0), B: m.Group(1), From: 60, Until: 300},
-		},
-	}
-	scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-		N: n, S: s, Keys: keys, Shards: shards, OpsPerClient: opsPerClient,
-		WriteRatio: -1, Skew: 1.2, Seed: 808,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	total := register.TotalKeyedOps(scripts)
-	prog, err := register.StoreProgram(n, s, cfg, scripts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := newRunner(b, sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 20), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 2_000_000, DisableTrace: true,
-		Faults: fp,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return register.StoreClientsDone(sn, s)
-		},
-	})
-	var steps, msgs, completed, retransmits, drops, dups, replicaBytes int64
-	var lats storeLats
+	var steps, msgs, completed, retransmits, drops, dups, fastReads, fallbacks, replicaBytes int64
+	var lat, clean, faulted sweep.Hist
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -924,26 +620,65 @@ func runStoreScaleFaults(b *testing.B, n, shards, clients, opsPerClient int, fas
 				done += node.CompletedOps()
 				retransmits += node.Retransmits()
 				replicaBytes += int64(node.ReplicaStateBytes())
+				fastReads += node.FastReads()
+				fallbacks += node.ReadFallbacks()
+				lat.Merge(node.LatencyHist())
+				clean.Merge(node.CleanLatencyHist())
+				faulted.Merge(node.FaultedLatencyHist())
 			}
 		}
-		if done != total {
-			b.Fatalf("seed %d completed %d/%d ops at n=%d (%s)", i, done, total, n, res.Reason)
+		if done != want {
+			b.Fatalf("seed %d completed %d ops, want exactly the %d guaranteed ones (%s)", i, done, want, res.Reason)
+		}
+		if row.check != nil {
+			if err := row.check(res); err != nil {
+				b.Fatalf("seed %d: %v", i, err)
+			}
 		}
 		completed += int64(done)
 		steps += res.Steps
 		msgs += res.MessagesSent
 		drops += res.MessagesDropped
 		dups += res.MessagesDuplicated
-		lats.merge(res)
 	}
 	b.StopTimer()
+	perOp := func(v int64) float64 { return float64(v) / float64(completed) }
 	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
-	b.ReportMetric(float64(retransmits)/float64(completed), "retransmits/op")
-	b.ReportMetric(float64(drops)/float64(completed), "drops/op")
-	b.ReportMetric(float64(dups)/float64(completed), "dups/op")
-	b.ReportMetric(float64(replicaBytes)/float64(n), "replica-B/node")
+	b.ReportMetric(perOp(retransmits), "retransmits/op")
+	b.ReportMetric(perOp(drops), "drops/op")
+	b.ReportMetric(perOp(dups), "dups/op")
+	b.ReportMetric(float64(replicaBytes)/float64(row.n), "replica-B/node")
 	reportRun(b, steps, msgs)
-	lats.report(b, completed)
+	// Latencies are schedule-determined (seeds 0..b.N-1), so at a fixed
+	// iteration count the percentiles are exactly reproducible — they can be
+	// regression-gated like msgs/op, unlike wall-clock metrics.
+	b.ReportMetric(float64(lat.Quantile(0.50)), "lat_p50_steps")
+	b.ReportMetric(float64(lat.Quantile(0.99)), "lat_p99_steps")
+	b.ReportMetric(float64(lat.Quantile(0.999)), "lat_p999_steps")
+	if faulted.Count > 0 { // on clean rows the split would duplicate the total
+		b.ReportMetric(float64(clean.Quantile(0.50)), "lat_clean_p50_steps")
+		b.ReportMetric(float64(clean.Quantile(0.99)), "lat_clean_p99_steps")
+		b.ReportMetric(float64(faulted.Quantile(0.50)), "lat_faulted_p50_steps")
+		b.ReportMetric(float64(faulted.Quantile(0.99)), "lat_faulted_p99_steps")
+	}
+	if fastReads > 0 || fallbacks > 0 {
+		b.ReportMetric(perOp(fastReads), "fastreads/op")
+		b.ReportMetric(perOp(fallbacks), "fallbacks/op")
+	}
+}
+
+// sharedAdversary is the network the E35 store row and the E36/E37 consensus
+// rows all run under — the SAME sim.FaultPlan value, so msgs/op (sharing)
+// and msgs/decision (agreeing) are directly comparable on one adversary: 5%
+// loss, 5% duplication, up to 2 ticks of extra delay, and a one-way
+// partition cutting {p1,p3} off from p2 during [30, 150) before healing.
+func sharedAdversary() *sim.FaultPlan {
+	return &sim.FaultPlan{
+		Seed: 7, Loss: 0.05, Dup: 0.05, MaxDelay: 2,
+		Partitions: []dist.Partition{{
+			A: dist.NewProcSet(1, 3), B: dist.NewProcSet(2), From: 30, Until: 150, OneWay: true,
+		}},
+	}
 }
 
 // BenchmarkConsensus regenerates experiment E13: the Ω+Σ baseline.

@@ -268,17 +268,17 @@ func openLoopGap(openLoop bool, rate float64) (int, error) {
 	if rate != 0 && !openLoop {
 		return 0, fmt.Errorf("-rate needs -openloop (closed-loop clients have no arrival schedule to pace)")
 	}
-	if rate < 0 {
-		return 0, fmt.Errorf("-rate %g must be positive", rate)
+	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
+		return 0, fmt.Errorf("-rate %g must be positive and finite", rate)
 	}
 	if rate == 0 {
 		return 0, nil
 	}
-	gap := int(math.Round(1 / rate))
-	if gap < 1 {
-		gap = 1
+	gap := math.Round(1 / rate)
+	if gap > math.MaxInt32 {
+		return 0, fmt.Errorf("-rate %g is too slow: its inter-arrival gap %g exceeds %d steps", rate, gap, math.MaxInt32)
 	}
-	return gap, nil
+	return max(int(gap), 1), nil
 }
 
 // clientSet validates -clients and returns the store member set

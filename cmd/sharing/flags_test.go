@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -463,14 +464,19 @@ func TestOpenLoopGap(t *testing.T) {
 		want     int
 		wantErr  bool
 	}{
-		{false, 0, 0, false},   // both unset: closed loop
-		{true, 0, 0, false},    // open loop at the store default (gap 1)
-		{true, 1, 1, false},    // one op per step
-		{true, 0.25, 4, false}, // gap = round(1/rate)
-		{true, 0.3, 3, false},  // rounded, not truncated
-		{true, 5, 1, false},    // super-unit rates floor at gap 1
-		{false, 0.5, 0, true},  // -rate needs -openloop
-		{true, -0.5, 0, true},  // negative rate
+		{false, 0, 0, false},                         // both unset: closed loop
+		{true, 0, 0, false},                          // open loop at the store default (gap 1)
+		{true, 1, 1, false},                          // one op per step
+		{true, 0.25, 4, false},                       // gap = round(1/rate)
+		{true, 0.3, 3, false},                        // rounded, not truncated
+		{true, 5, 1, false},                          // super-unit rates floor at gap 1
+		{false, 0.5, 0, true},                        // -rate needs -openloop
+		{true, -0.5, 0, true},                        // negative rate
+		{true, math.NaN(), 0, true},                  // not a number
+		{true, math.Inf(1), 0, true},                 // not finite
+		{true, 1e-300, 0, true},                      // gap overflows: must not wrap to gap 1
+		{true, 1.0 / (math.MaxInt32 + 1.0), 0, true}, // gap just past the int32 ceiling
+		{true, 1.0 / math.MaxInt32, math.MaxInt32, false},
 	} {
 		got, err := openLoopGap(tc.openLoop, tc.rate)
 		if tc.wantErr {

@@ -90,7 +90,7 @@ subcommands:
   register        -n 5 -seed 1
   store           -n 5 -keys 16 -shards 1 -clients 3 -window 4 -ops 16
                   -seeds 20 -workers 0 -skew 1.2 -write 0.5 -crash "5@40"
-                  -crashshard "1@40" -recover "5@120" -nobatch -piggyback
+                  -crashshard "1@40" -recover "5@120" -piggyback
                   -adaptive -maxwindow 16 -stall 16
                   -loss 0.05 -dup 0.05 -delay 3 -faultseed 7 -partition "1:2@20-60"
                   -retransmit -rto 32 -maxrto 256 -stalllimit 20000
@@ -446,7 +446,6 @@ func cmdStore(args []string) error {
 	recov := fs.String("recover", "", "recovery list, e.g. \"5@120\": the crashed process rejoins at t with its volatile state lost (pair each entry with a -crash/-crashshard entry strictly before t; recovered processes stay outside the correctness set)")
 	skew := fs.Float64("skew", 1.2, "zipf skew within each shard's keys (0 = uniform)")
 	write := fs.Float64("write", register.DefaultWriteRatio, "write ratio (0 = read-only)")
-	nobatch := fs.Bool("nobatch", false, "disable request batching (one message per request)")
 	piggyback := fs.Bool("piggyback", false, "fold all same-destination traffic of a step (requests of every shard plus pending replies) into one frame per (src,dst)")
 	adaptive := fs.Bool("adaptive", false, "replace the fixed per-shard window with the AIMD controller (grows while ops complete, halves on shard stall)")
 	maxWindow := fs.Int("maxwindow", 0, "adaptive growth cap (0 = 4×window; requires -adaptive)")
@@ -481,7 +480,7 @@ func cmdStore(args []string) error {
 	}
 	storeCfg := register.StoreConfig{
 		Keys: *keys, Shards: *shards, Window: *window,
-		DisableBatching: *nobatch, Piggyback: *piggyback,
+		Piggyback:      *piggyback,
 		AdaptiveWindow: *adaptive, MaxWindow: *maxWindow, StallSteps: *stall,
 		Retransmit: *retransmit, RTO: *rto, MaxRTO: *maxRTO,
 		OpenLoop: *openLoop, ArrivalGap: gap, ArrivalJitter: *openLoop,
@@ -504,8 +503,10 @@ func cmdStore(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Any non-zero value builds the plan, so FaultPlan.Validate sees (and
+	// rejects) a negative one instead of it silently running fault-free.
 	var faults *sim.FaultPlan
-	if *loss > 0 || *dup > 0 || *delay > 0 || len(partitions) > 0 {
+	if *loss != 0 || *dup != 0 || *delay != 0 || len(partitions) > 0 {
 		faults = &sim.FaultPlan{
 			Seed: *faultSeed, Loss: *loss, Dup: *dup,
 			MaxDelay: dist.Time(*delay), Partitions: partitions,
@@ -562,8 +563,8 @@ func cmdStore(args []string) error {
 	if *adaptive {
 		windowDesc = fmt.Sprintf("window=%d..%d(adaptive)", *window, storeCfg.EffectiveMaxWindow())
 	}
-	fmt.Printf("store on %v, S=%v, keys=%d shards=%d %s batching=%v piggyback=%v: %d runs × %d scripted ops (%d guaranteed at correct clients)\n",
-		f, s, *keys, shardMap.Shards(), windowDesc, !*nobatch, *piggyback, res.Runs, register.TotalKeyedOps(scripts), opsPerRun)
+	fmt.Printf("store on %v, S=%v, keys=%d shards=%d %s piggyback=%v: %d runs × %d scripted ops (%d guaranteed at correct clients)\n",
+		f, s, *keys, shardMap.Shards(), windowDesc, *piggyback, res.Runs, register.TotalKeyedOps(scripts), opsPerRun)
 	if *openLoop || *coalesce > 0 {
 		fmt.Printf("  load: openloop=%v gap=%d(jittered) coalesce=%d\n", *openLoop, storeCfg.EffectiveArrivalGap(), *coalesce)
 	}
@@ -678,8 +679,10 @@ func cmdConsensus(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Any non-zero value builds the plan, so FaultPlan.Validate sees (and
+	// rejects) a negative one instead of it silently running fault-free.
 	var faults *sim.FaultPlan
-	if *loss > 0 || *dup > 0 || *delay > 0 || len(partitions) > 0 {
+	if *loss != 0 || *dup != 0 || *delay != 0 || len(partitions) > 0 {
 		faults = &sim.FaultPlan{
 			Seed: *faultSeed, Loss: *loss, Dup: *dup,
 			MaxDelay: dist.Time(*delay), Partitions: partitions,

@@ -15,7 +15,7 @@ func TestSubcommandsSucceed(t *testing.T) {
 		{"register", "-n", "5"},
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "3", "-workers", "2"},
 		{"store", "-n", "5", "-keys", "6", "-clients", "2", "-window", "3", "-ops", "6", "-seeds", "2", "-crash", "5@30"},
-		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "1", "-ops", "4", "-seeds", "2", "-write", "0", "-nobatch"},
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "1", "-ops", "4", "-seeds", "2", "-write", "0"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "3", "-workers", "2"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-ops", "6", "-seeds", "2", "-crashshard", "2@30"},
 		{"store", "-n", "6", "-keys", "8", "-shards", "2", "-clients", "2", "-ops", "6", "-seeds", "2", "-skew", "0"},
@@ -31,7 +31,6 @@ func TestSubcommandsSucceed(t *testing.T) {
 			"-fastread", "-piggyback", "-adaptive", "-maxwindow", "6", "-stall", "8", "-crashshard", "2@30"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
 			"-fastread", "-retransmit", "-rto", "16", "-loss", "0.05", "-partition", "1:2@20-80", "-stalllimit", "5000"},
-		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2", "-fastread", "-nobatch"},
 		{"store", "-n", "5", "-keys", "8", "-shards", "2", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
 			"-crash", "5@40", "-recover", "5@120", "-loss", "0.05", "-retransmit", "-stalllimit", "5000"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
@@ -87,19 +86,23 @@ func TestSubcommandsFail(t *testing.T) {
 		{"store", "-n", "6", "-keys", "6", "-shards", "3", "-skew", "0.9"},                        // zipf undefined for s ≤ 1
 		{"store", "-n", "6", "-keys", "6", "-shards", "3", "-crash", "2", "-crashshard", "1"},     // p2 crashed twice
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "0"},                       // window below 1
-		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-piggyback", "-nobatch"},             // piggyback silently disabled
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-maxwindow", "8"},                    // controller knob without -adaptive
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-adaptive", "-maxwindow", "2"},       // cap below start window (default 4)
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-rate", "0.5"},                       // -rate needs -openloop
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-openloop", "-rate", "-1"},           // negative rate
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-coalesce", "-2"},                    // negative delay budget
-		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-nobatch", "-coalesce", "2"},         // nothing to merge unbatched
 		{"store", "-n", "5", "-keys", "8", "-clients", "2", "-recover", "5@120"},                  // recovery without a crash
 		{"store", "-n", "5", "-keys", "8", "-clients", "2", "-crash", "5@40", "-recover", "5@30"}, // recovery before the crash
 		{"store", "-n", "5", "-keys", "8", "-clients", "2", "-crash", "5@40", "-recover", "5"},    // recovery needs a time
 		{"consensus", "-n", "4", "-recover", "4@200"},                                             // recovery without a crash
 		{"consensus", "-n", "4", "-loss", "0.05", "-partition", "1:2@10-inf"},                     // consensus needs the partition to heal
 		{"consensus", "-n", "4", "-loss", "1.5"},                                                  // loss outside [0,1)
+		{"consensus", "-n", "4", "-delay", "-3"},                                                  // negative delay
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-delay", "-5"},                       // negative delay
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-loss", "-0.1"},                      // negative loss
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-dup", "-0.5"},                       // negative duplication
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-openloop", "-rate", "1e-300"},       // gap overflows int
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-openloop", "-rate", "NaN"},          // rate not a number
 		{"explore", "-fig", "bogus"},
 		{"explore", "-fig", "fig4", "-n", "3", "-k", "2"},
 		{"explore", "-fig", "fig2", "-n", "3", "-crash", "3@10"}, // crash at 10 ≥ TimeCap 1

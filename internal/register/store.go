@@ -39,9 +39,7 @@ type KeyedOpDesc struct {
 // (Key, RID). All entries ready in one step that are bound for the same
 // destination *and the same shard* travel in a single batch payload — with
 // disjoint replica groups that is simply "per destination", and a request
-// never reaches a process outside its shard's group. With batching disabled
-// (StoreConfig.DisableBatching) each batch carries exactly one entry — the
-// E18/E20 ablation, which pays one message per request. With piggybacking
+// never reaches a process outside its shard's group. With piggybacking
 // (StoreConfig.Piggyback) every entry kind bound for one destination in one
 // step — query and store requests of all shards plus the step's pending
 // replies — folds into a single storeFrame (the E22 row).
@@ -82,25 +80,12 @@ type (
 		Key int
 		RID int64
 	}
-	queryReqBatch struct {
-		E    []queryEntry
+	// batch is the payload of one entry kind: the step's requests for one
+	// shard, shared by every member of its group, or one delivery's replies.
+	batch[E any] struct {
+		E    []E
 		refs int32
-		pool *batchPool
-	}
-	queryRepBatch struct {
-		E    []queryRepEntry
-		refs int32
-		pool *batchPool
-	}
-	storeReqBatch struct {
-		E    []storeEntry
-		refs int32
-		pool *batchPool
-	}
-	storeRepBatch struct {
-		E    []storeRepEntry
-		refs int32
-		pool *batchPool
+		pool *freeList[batch[E]]
 	}
 	// storeFrame is the piggybacked combined payload: one frame carries
 	// everything a node has for one destination in one step.
@@ -110,7 +95,7 @@ type (
 		QR   []queryRepEntry
 		SR   []storeRepEntry
 		refs int32
-		pool *batchPool
+		pool *freeList[storeFrame]
 	}
 )
 
@@ -121,38 +106,17 @@ type (
 // is set at lease time, so a dropped batch recycles into the pool of the
 // program that leased it.
 
-func (b *queryReqBatch) AddRef() { b.refs++ }
-func (b *queryReqBatch) DropRef() {
+func (b *batch[E]) AddRef() { b.refs++ }
+func (b *batch[E]) DropRef() {
 	if release(&b.refs) {
-		b.pool.qReq.put(b)
-	}
-}
-
-func (b *queryRepBatch) AddRef() { b.refs++ }
-func (b *queryRepBatch) DropRef() {
-	if release(&b.refs) {
-		b.pool.qRep.put(b)
-	}
-}
-
-func (b *storeReqBatch) AddRef() { b.refs++ }
-func (b *storeReqBatch) DropRef() {
-	if release(&b.refs) {
-		b.pool.sReq.put(b)
-	}
-}
-
-func (b *storeRepBatch) AddRef() { b.refs++ }
-func (b *storeRepBatch) DropRef() {
-	if release(&b.refs) {
-		b.pool.sRep.put(b)
+		b.pool.put(b)
 	}
 }
 
 func (f *storeFrame) AddRef() { f.refs++ }
 func (f *storeFrame) DropRef() {
 	if release(&f.refs) {
-		f.pool.frames.put(f)
+		f.pool.put(f)
 	}
 }
 
@@ -195,43 +159,21 @@ func (l *freeList[T]) put(b *T) {
 // while the shared pool closes the cycle. It survives Reset, so a reused
 // runner stops allocating batches entirely after its first run.
 type batchPool struct {
-	qReq   freeList[queryReqBatch]
-	qRep   freeList[queryRepBatch]
-	sReq   freeList[storeReqBatch]
-	sRep   freeList[storeRepBatch]
+	qReq   freeList[batch[queryEntry]]
+	qRep   freeList[batch[queryRepEntry]]
+	sReq   freeList[batch[storeEntry]]
+	sRep   freeList[batch[storeRepEntry]]
 	frames freeList[storeFrame]
 }
 
-func (p *batchPool) getQReq() *queryReqBatch {
-	if b, ok := p.qReq.get(); ok {
+// lease returns an empty batch from l, allocating one bound to l when the
+// free list is empty.
+func lease[E any](l *freeList[batch[E]]) *batch[E] {
+	if b, ok := l.get(); ok {
 		b.E = b.E[:0]
 		return b
 	}
-	return &queryReqBatch{pool: p}
-}
-
-func (p *batchPool) getQRep() *queryRepBatch {
-	if b, ok := p.qRep.get(); ok {
-		b.E = b.E[:0]
-		return b
-	}
-	return &queryRepBatch{pool: p}
-}
-
-func (p *batchPool) getSReq() *storeReqBatch {
-	if b, ok := p.sReq.get(); ok {
-		b.E = b.E[:0]
-		return b
-	}
-	return &storeReqBatch{pool: p}
-}
-
-func (p *batchPool) getSRep() *storeRepBatch {
-	if b, ok := p.sRep.get(); ok {
-		b.E = b.E[:0]
-		return b
-	}
-	return &storeRepBatch{pool: p}
+	return &batch[E]{pool: l}
 }
 
 func (p *batchPool) getFrame() *storeFrame {
@@ -239,7 +181,7 @@ func (p *batchPool) getFrame() *storeFrame {
 		f.Q, f.S, f.QR, f.SR = f.Q[:0], f.S[:0], f.QR[:0], f.SR[:0]
 		return f
 	}
-	return &storeFrame{pool: p}
+	return &storeFrame{pool: &p.frames}
 }
 
 // DefaultStallSteps is the adaptive controller's default backpressure
@@ -270,15 +212,9 @@ type StoreConfig struct {
 	// waits without blocking other shards). Must be ≥ 1; 1 disables
 	// pipelining. With AdaptiveWindow it is the controller's start value.
 	Window int
-	// DisableBatching sends one request per message instead of coalescing
-	// all same-shard same-destination requests of a step into one batch
-	// (E18/E20).
-	DisableBatching bool
 	// Piggyback folds all of a step's same-destination traffic — query and
 	// store request batches across shards plus the step's pending replies —
-	// into one combined frame per (src, dst) pair (E22). Rejected together
-	// with DisableBatching, which would silently disable it (one entry per
-	// message leaves nothing to fold).
+	// into one combined frame per (src, dst) pair (E22).
 	Piggyback bool
 	// AdaptiveWindow replaces the fixed per-shard window with an AIMD
 	// controller per (client, shard): the window grows by one per completed
@@ -339,8 +275,7 @@ type StoreConfig struct {
 	// can join until a completion, which the parked batch itself gates).
 	// Retransmission timers stretch by 2D so parking never triggers
 	// spurious retransmits. 0 keeps today's flush-every-step path,
-	// bit-identical to a build without coalescing; rejected together with
-	// DisableBatching (one entry per message leaves nothing to merge).
+	// bit-identical to a build without coalescing.
 	CoalesceDelay int
 	// FastReads enables the one-phase ABD read optimization: a read whose
 	// phase-1 quorum replies unanimously with one timestamp completes
@@ -444,9 +379,8 @@ func (c StoreConfig) EffectiveArrivalGap() int { return c.arrivalGap() }
 
 // Validate rejects configurations that would otherwise produce a silently
 // empty, undefined or self-defeating run: a non-positive key space, a window
-// below 1, a shard count the n-process system cannot host, piggybacking
-// combined with DisableBatching (which would silently disable it), or
-// controller knobs without the controller.
+// below 1, a shard count the n-process system cannot host, or controller
+// knobs without the controller.
 func (c StoreConfig) Validate(n int) error {
 	_, err := c.ShardMap(n)
 	return err
@@ -464,9 +398,6 @@ func (c StoreConfig) ShardMap(n int) (*ShardMap, error) {
 	}
 	if c.Shards < 0 {
 		return nil, fmt.Errorf("register: store shard count %d is negative", c.Shards)
-	}
-	if c.Piggyback && c.DisableBatching {
-		return nil, fmt.Errorf("register: Piggyback with DisableBatching would be silently ignored (one entry per message leaves nothing to fold); enable at most one")
 	}
 	if c.MaxWindow < 0 {
 		return nil, fmt.Errorf("register: store MaxWindow %d is negative", c.MaxWindow)
@@ -500,9 +431,6 @@ func (c StoreConfig) ShardMap(n int) (*ShardMap, error) {
 	}
 	if c.CoalesceDelay < 0 {
 		return nil, fmt.Errorf("register: store CoalesceDelay %d is negative", c.CoalesceDelay)
-	}
-	if c.CoalesceDelay > 0 && c.DisableBatching {
-		return nil, fmt.Errorf("register: CoalesceDelay with DisableBatching has nothing to merge (one entry per message); enable at most one")
 	}
 	return NewShardMap(n, c.Keys, c.shards())
 }
@@ -676,10 +604,7 @@ type StoreNode struct {
 var _ sim.Automaton = (*StoreNode)(nil)
 
 var (
-	_ sim.RefCounted = (*queryReqBatch)(nil)
-	_ sim.RefCounted = (*queryRepBatch)(nil)
-	_ sim.RefCounted = (*storeReqBatch)(nil)
-	_ sim.RefCounted = (*storeRepBatch)(nil)
+	_ sim.RefCounted = (*batch[queryEntry])(nil)
 	_ sim.RefCounted = (*storeFrame)(nil)
 )
 
@@ -1005,46 +930,33 @@ func (a *StoreNode) Step(e *sim.Env) {
 }
 
 func (a *StoreNode) onMessage(e *sim.Env, payload any, from dist.ProcID) {
-	// On untraced runs the runner transfers payload ownership to this node
-	// (sim's send-buffer lease contract): the last recipient of a batch
-	// recycles it into its own pools once it is fully processed.
-	owned := e.DeliveredOwned()
 	switch m := payload.(type) {
-	case *queryReqBatch:
+	case *batch[queryEntry]:
 		a.serveQueries(e, m.E, from)
-		if owned && release(&m.refs) {
-			a.pool.qReq.put(m)
-		}
-	case *storeReqBatch:
+	case *batch[storeEntry]:
 		a.serveStores(e, m.E, from)
-		if owned && release(&m.refs) {
-			a.pool.sReq.put(m)
-		}
-	case *queryRepBatch:
+	case *batch[queryRepEntry]:
 		a.absorbQueryReps(m.E, from)
-		if owned && release(&m.refs) {
-			a.pool.qRep.put(m)
-		}
-	case *storeRepBatch:
+	case *batch[storeRepEntry]:
 		a.absorbStoreReps(m.E, from)
-		if owned && release(&m.refs) {
-			a.pool.sRep.put(m)
-		}
 	case *storeFrame:
 		a.serveQueries(e, m.Q, from)
 		a.serveStores(e, m.S, from)
 		a.absorbQueryReps(m.QR, from)
 		a.absorbStoreReps(m.SR, from)
-		if owned && release(&m.refs) {
-			a.pool.frames.put(m)
-		}
+	}
+	// On untraced runs the runner transfers payload ownership to this node
+	// (sim's send-buffer lease contract): the last recipient of a batch
+	// recycles it into its pool once it is fully processed.
+	if rc, ok := payload.(sim.RefCounted); ok && e.DeliveredOwned() {
+		rc.DropRef()
 	}
 }
 
 // serveQueries answers a batch of query requests from the node's replica
-// state: immediately as one reply batch (or one message per entry with
-// batching disabled), or deferred into the step's reply accumulator for
-// flush to fold into the destination's frame when piggybacking.
+// state: immediately as one reply batch, or deferred into the step's reply
+// accumulator for flush to fold into the destination's frame when
+// piggybacking.
 func (a *StoreNode) serveQueries(e *sim.Env, entries []queryEntry, from dist.ProcID) {
 	if a.cfg.Piggyback {
 		for _, q := range entries {
@@ -1057,21 +969,16 @@ func (a *StoreNode) serveQueries(e *sim.Env, entries []queryEntry, from dist.Pro
 		}
 		return
 	}
-	var b *queryRepBatch
+	var b *batch[queryRepEntry]
 	for _, q := range entries {
 		sh, loc, ok := a.locate(q.Key)
 		if !ok {
 			continue
 		}
 		if b == nil {
-			b = a.pool.getQRep()
+			b = lease(&a.pool.qRep)
 		}
 		b.E = append(b.E, a.answerQuery(q, sh, loc))
-		if a.cfg.DisableBatching {
-			b.refs = 1
-			e.Send(from, b)
-			b = nil
-		}
 	}
 	if b != nil {
 		b.refs = 1
@@ -1097,7 +1004,7 @@ func (a *StoreNode) answerQuery(q queryEntry, sh, loc int) queryRepEntry {
 }
 
 // serveStores applies a batch of store (phase-2) requests to the replica
-// state and acknowledges them, with the same three delivery modes as
+// state and acknowledges them, with the same two delivery modes as
 // serveQueries.
 func (a *StoreNode) serveStores(e *sim.Env, entries []storeEntry, from dist.ProcID) {
 	if a.cfg.Piggyback {
@@ -1114,7 +1021,7 @@ func (a *StoreNode) serveStores(e *sim.Env, entries []storeEntry, from dist.Proc
 		}
 		return
 	}
-	var b *storeRepBatch
+	var b *batch[storeRepEntry]
 	for _, s := range entries {
 		sh, loc, ok := a.locate(s.Key)
 		if !ok {
@@ -1124,14 +1031,9 @@ func (a *StoreNode) serveStores(e *sim.Env, entries []storeEntry, from dist.Proc
 			a.ts[sh][loc], a.val[sh][loc] = s.TS, s.V
 		}
 		if b == nil {
-			b = a.pool.getSRep()
+			b = lease(&a.pool.sRep)
 		}
 		b.E = append(b.E, storeRepEntry{Key: s.Key, RID: s.RID})
-		if a.cfg.DisableBatching {
-			b.refs = 1
-			e.Send(from, b)
-			b = nil
-		}
 	}
 	if b != nil {
 		b.refs = 1
@@ -1269,9 +1171,9 @@ func (a *StoreNode) retransmit() {
 	}
 	// Coalescing parks a request for up to CoalesceDelay steps in this
 	// node's own accumulators — the timer restarts when it actually departs
-	// (restampQueries/restampStores), so the local park never burns RTO
-	// budget — and parks its reply for up to CoalesceDelay *replica* steps,
-	// which this client cannot observe. The 2D slack covers the not-yet-
+	// (restamp), so the local park never burns RTO budget — and parks its
+	// reply for up to CoalesceDelay *replica* steps, which this client
+	// cannot observe. The 2D slack covers the not-yet-
 	// departed window plus the replica-side park, so a parked-but-healthy
 	// exchange never looks lost.
 	slack := 2 * int64(a.cfg.CoalesceDelay)
@@ -1302,43 +1204,30 @@ func (a *StoreNode) retransmit() {
 	}
 }
 
-// restampQueries resets the retransmission timer of every outstanding
-// phase-1 op whose request is among the just-departed entries. Coalescing
-// may park a request in the sender's own accumulators for up to
-// CoalesceDelay steps; the RTO measures the network round trip, which only
-// starts at departure. Matching is by (key, rid), so stale entries of a
-// superseded phase restamp nothing. Only called on coalescing nodes —
-// pend and the entry slices are window-bounded and nothing allocates.
-func (a *StoreNode) restampQueries(entries []queryEntry) {
-	if !a.cfg.Retransmit || len(a.pend) == 0 {
-		return
-	}
-	for i := range a.pend {
-		op := &a.pend[i]
-		if op.phase != 1 {
-			continue
-		}
-		for _, q := range entries {
-			if q.Key == op.key && q.RID == op.rid {
-				op.lastSend = a.steps
-				break
-			}
-		}
-	}
+// request is a client request entry kind: the (key, rid) correlation of
+// the op it was sent for and that op's ABD phase.
+type request interface {
+	ref() (key int, rid int64, phase uint8)
 }
 
-// restampStores is restampQueries for phase-2 store requests.
-func (a *StoreNode) restampStores(entries []storeEntry) {
+func (q queryEntry) ref() (int, int64, uint8) { return q.Key, q.RID, 1 }
+func (s storeEntry) ref() (int, int64, uint8) { return s.Key, s.RID, 2 }
+
+// restamp resets the retransmission timer of every outstanding op whose
+// current-phase request is among the just-departed entries. Coalescing may
+// park a request in the sender's own accumulators for up to CoalesceDelay
+// steps; the RTO measures the network round trip, which only starts at
+// departure. Matching is by (key, rid, phase), so stale entries of a
+// superseded phase restamp nothing. Only called on coalescing nodes — pend
+// and the entry slices are window-bounded and nothing allocates.
+func restamp[E request](a *StoreNode, entries []E) {
 	if !a.cfg.Retransmit || len(a.pend) == 0 {
 		return
 	}
 	for i := range a.pend {
 		op := &a.pend[i]
-		if op.phase != 2 {
-			continue
-		}
-		for _, s := range entries {
-			if s.Key == op.key && s.RID == op.rid {
+		for _, x := range entries {
+			if key, rid, phase := x.ref(); key == op.key && rid == op.rid && phase == op.phase {
 				op.lastSend = a.steps
 				break
 			}
@@ -1568,14 +1457,13 @@ func (a *StoreNode) sendShared(e *sim.Env, group dist.ProcSet, payload any, refs
 }
 
 // flush sends the step's accumulated requests — one pooled batch per
-// (shard, group member) built once per shard and shared across the group,
-// one message per entry when batching is disabled, or one combined frame
-// per destination when piggybacking — and clears every per-step
-// accumulator. Requests only travel to their shard's replica group — the
-// routing that keeps quorum traffic off processes outside the group. With
-// coalescing armed an under-filled accumulator may park across steps (see
-// park) before it becomes a batch; the batch itself is built only at send
-// time, so parking costs no extra pool traffic.
+// (shard, kind) built once and shared across the shard's group, or one
+// combined frame per destination when piggybacking — and clears every
+// per-step accumulator. Requests only travel to their shard's replica group
+// — the routing that keeps quorum traffic off processes outside the group.
+// With coalescing armed an under-filled accumulator may park across steps
+// (see park) before it becomes a batch; the batch itself is built only at
+// send time, so parking costs no extra pool traffic.
 func (a *StoreNode) flush(e *sim.Env) {
 	if a.cfg.Piggyback {
 		a.flushPiggyback(e)
@@ -1584,57 +1472,32 @@ func (a *StoreNode) flush(e *sim.Env) {
 	for dirty := a.outDirty; !dirty.IsEmpty(); {
 		sh := dirty.Min()
 		dirty = dirty.Remove(sh)
-		if len(a.qOut[sh]) > 0 && !(a.coalesce && a.park(&a.qHeldT[sh], len(a.qOut[sh]), sh)) {
-			group := a.shards.Group(sh)
-			if a.cfg.DisableBatching {
-				for _, q := range a.qOut[sh] {
-					b := a.pool.getQReq()
-					b.E = append(b.E, q)
-					if !a.sendShared(e, group, b, &b.refs) {
-						a.pool.qReq.put(b)
-					}
-				}
-			} else {
-				// One snapshot per (shard, step), shared by every member.
-				b := a.pool.getQReq()
-				b.E = append(b.E, a.qOut[sh]...)
-				if !a.sendShared(e, group, b, &b.refs) {
-					a.pool.qReq.put(b)
-				}
-			}
-			if a.coalesce {
-				a.restampQueries(a.qOut[sh])
-				a.qHeldT[sh] = -1
-			}
-			a.qOut[sh] = a.qOut[sh][:0]
-		}
-		if len(a.sOut[sh]) > 0 && !(a.coalesce && a.park(&a.sHeldT[sh], len(a.sOut[sh]), sh)) {
-			group := a.shards.Group(sh)
-			if a.cfg.DisableBatching {
-				for _, s := range a.sOut[sh] {
-					b := a.pool.getSReq()
-					b.E = append(b.E, s)
-					if !a.sendShared(e, group, b, &b.refs) {
-						a.pool.sReq.put(b)
-					}
-				}
-			} else {
-				b := a.pool.getSReq()
-				b.E = append(b.E, a.sOut[sh]...)
-				if !a.sendShared(e, group, b, &b.refs) {
-					a.pool.sReq.put(b)
-				}
-			}
-			if a.coalesce {
-				a.restampStores(a.sOut[sh])
-				a.sHeldT[sh] = -1
-			}
-			a.sOut[sh] = a.sOut[sh][:0]
-		}
+		flushShard(a, e, sh, &a.qOut[sh], a.qHeldT, &a.pool.qReq)
+		flushShard(a, e, sh, &a.sOut[sh], a.sHeldT, &a.pool.sReq)
 		if len(a.qOut[sh]) == 0 && len(a.sOut[sh]) == 0 {
 			a.outDirty = a.outDirty.Remove(sh)
 		}
 	}
+}
+
+// flushShard sends one shard's accumulated requests of one kind as a single
+// batch shared by every member of the shard's group, unless coalescing
+// parks them (heldT is the kind's per-shard park clock), and clears the
+// accumulator once sent.
+func flushShard[E request](a *StoreNode, e *sim.Env, sh int, out *[]E, heldT []int64, l *freeList[batch[E]]) {
+	if len(*out) == 0 || a.coalesce && a.park(&heldT[sh], len(*out), sh) {
+		return
+	}
+	b := lease(l)
+	b.E = append(b.E, *out...)
+	if !a.sendShared(e, a.shards.Group(sh), b, &b.refs) {
+		l.put(b)
+	}
+	if a.coalesce {
+		restamp(a, *out)
+		heldT[sh] = -1
+	}
+	*out = (*out)[:0]
 }
 
 // park stamps an accumulator's first-parked time and reports whether it
@@ -1699,8 +1562,8 @@ func (a *StoreNode) flushPiggyback(e *sim.Env) {
 			f := a.outFrame[p]
 			a.outFrame[p] = nil
 			f.refs = 1
-			a.restampQueries(f.Q)
-			a.restampStores(f.S)
+			restamp(a, f.Q)
+			restamp(a, f.S)
 			e.Send(p, f)
 		}
 		a.outDsts = kept

@@ -21,7 +21,6 @@ func TestStoreCoalesceConfigGates(t *testing.T) {
 		want string
 	}{
 		{"negative coalesce delay", StoreConfig{Keys: 2, Window: 1, CoalesceDelay: -1}, "negative"},
-		{"coalesce with batching disabled", StoreConfig{Keys: 2, Window: 1, DisableBatching: true, CoalesceDelay: 2}, "DisableBatching"},
 		{"negative arrival gap", StoreConfig{Keys: 2, Window: 1, OpenLoop: true, ArrivalGap: -3}, "negative"},
 		{"arrival gap without open loop", StoreConfig{Keys: 2, Window: 1, ArrivalGap: 4}, "OpenLoop"},
 		{"arrival jitter without open loop", StoreConfig{Keys: 2, Window: 1, ArrivalJitter: true}, "OpenLoop"},

@@ -188,8 +188,8 @@ func TestStoreAllocsPerStep(t *testing.T) {
 // TestStorePiggybackReducesMessages pins the E22 mechanism: folding a
 // step's same-destination traffic (query+store request batches plus
 // pending replies) into one frame per (src, dst) pair sends strictly fewer
-// messages than per-kind batches, which in turn beat unbatched requests —
-// while every run still verifies end to end.
+// messages than per-kind batches — while every run still verifies end to
+// end.
 func TestStorePiggybackReducesMessages(t *testing.T) {
 	const n = 5
 	f := dist.NewFailurePattern(n)
@@ -204,7 +204,6 @@ func TestStorePiggybackReducesMessages(t *testing.T) {
 	for name, cfg := range map[string]StoreConfig{
 		"piggyback": {Keys: 8, Window: 4, Piggyback: true},
 		"batched":   {Keys: 8, Window: 4},
-		"unbatched": {Keys: 8, Window: 4, DisableBatching: true},
 	} {
 		for seed := int64(0); seed < 6; seed++ {
 			res := runStore(t, f, s, cfg, scripts, 10, seed)
@@ -214,9 +213,9 @@ func TestStorePiggybackReducesMessages(t *testing.T) {
 			msgs[name] += res.MessagesSent
 		}
 	}
-	if !(msgs["piggyback"] < msgs["batched"] && msgs["batched"] < msgs["unbatched"]) {
-		t.Fatalf("piggybacking must cut messages below per-kind batching: piggyback=%d batched=%d unbatched=%d",
-			msgs["piggyback"], msgs["batched"], msgs["unbatched"])
+	if msgs["piggyback"] >= msgs["batched"] {
+		t.Fatalf("piggybacking must cut messages below per-kind batching: piggyback=%d batched=%d",
+			msgs["piggyback"], msgs["batched"])
 	}
 }
 

@@ -11,14 +11,16 @@ import (
 )
 
 // TestStoreRecoveryOffByteIdentical pins the recovery-free faulted send
-// stream to FNV-64a hashes recorded from the pre-recovery build (PR 9): with
-// no RecoverAt in the pattern and no OneWay partition, the recovery machinery
-// (runner recovery events, the replica's lazy re-allocation, the directional
-// partition check) must leave every send byte-for-byte untouched — including
-// runs that exercise the whole fault-injection path (loss + duplication +
-// delay + a healing symmetric partition + fast reads). The failure-free tiers
-// are already pinned by TestStoreFastReadsOffByteIdentical; this covers the
-// faulted path the partition refactor touched.
+// streams to FNV-64a hashes: with no RecoverAt in the pattern and no OneWay
+// partition, the recovery machinery (runner recovery events, the replica's
+// lazy re-allocation, the directional partition check) must leave every send
+// byte-for-byte untouched — including runs that exercise the whole
+// fault-injection path (loss + duplication + delay + a healing symmetric
+// partition). The piggybacked fast-read case was recorded before
+// crash-recovery existed; the two unpiggybacked cases pin the per-shard
+// batch flush under the same faults, with fast reads and with coalescing.
+// The failure-free tiers are already pinned by
+// TestStoreFastReadsOffByteIdentical.
 func TestStoreRecoveryOffByteIdentical(t *testing.T) {
 	const n = 5
 	f := dist.NewFailurePattern(n)
@@ -29,27 +31,40 @@ func TestStoreRecoveryOffByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := StoreConfig{
-		Keys: 8, Shards: 2, Window: 4, Piggyback: true, FastReads: true,
-		Retransmit: true, RTO: 16,
-	}
 	fp := &sim.FaultPlan{
 		Seed: 99, Loss: 0.05, Dup: 0.05, MaxDelay: 3,
 		Partitions: []dist.Partition{{
 			A: dist.NewProcSet(1, 4), B: dist.NewProcSet(2, 5), From: 40, Until: 160,
 		}},
 	}
-	golden := [4]uint64{0xaa62b6fc89eb738f, 0x2bbfd4f1c0db47e2, 0xefdab372bd6eb67a, 0x1dc048fa9b78f91a}
-	for seed := int64(0); seed < 4; seed++ {
-		res, _ := runStoreFaulted(t, f, s, cfg, scripts, fp, 10, seed)
-		h := fnv.New64a()
-		for _, line := range sendStream(res) {
-			h.Write([]byte(strings.ReplaceAll(line, " CTS:{Seq:0 PID:0}", "")))
-			h.Write([]byte{'\n'})
-		}
-		if got := h.Sum64(); got != golden[seed] {
-			t.Fatalf("seed %d: faulted send stream hash 0x%016x, want the PR-9 golden 0x%016x — the recovery-free path is no longer byte-identical",
-				seed, got, golden[seed])
+	cases := []struct {
+		name   string
+		cfg    StoreConfig
+		golden [4]uint64
+	}{
+		{"piggyback+fastread", StoreConfig{
+			Keys: 8, Shards: 2, Window: 4, Piggyback: true, FastReads: true,
+			Retransmit: true, RTO: 16,
+		}, [4]uint64{0xaa62b6fc89eb738f, 0x2bbfd4f1c0db47e2, 0xefdab372bd6eb67a, 0x1dc048fa9b78f91a}},
+		{"batched+fastread", StoreConfig{
+			Keys: 8, Shards: 2, Window: 4, Retransmit: true, RTO: 16, FastReads: true,
+		}, [4]uint64{0xc865500541e3a76e, 0xf794547a4454980b, 0x20e2d084fc64d278, 0x831061daaca6955e}},
+		{"batched+coalesce", StoreConfig{
+			Keys: 8, Shards: 2, Window: 4, Retransmit: true, RTO: 16, CoalesceDelay: 2,
+		}, [4]uint64{0x73efb89b85b0fbba, 0xb1d170de52b3c8bc, 0x0be6e3a2036edd3e, 0xa0294a10a5e84062}},
+	}
+	for _, tc := range cases {
+		for seed := int64(0); seed < 4; seed++ {
+			res, _ := runStoreFaulted(t, f, s, tc.cfg, scripts, fp, 10, seed)
+			h := fnv.New64a()
+			for _, line := range sendStream(res) {
+				h.Write([]byte(strings.ReplaceAll(line, " CTS:{Seq:0 PID:0}", "")))
+				h.Write([]byte{'\n'})
+			}
+			if got := h.Sum64(); got != tc.golden[seed] {
+				t.Fatalf("%s seed %d: faulted send stream hash 0x%016x, want the golden 0x%016x — the recovery-free path is no longer byte-identical",
+					tc.name, seed, got, tc.golden[seed])
+			}
 		}
 	}
 }
