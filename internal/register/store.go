@@ -26,8 +26,9 @@ func (o KeyedOp) String() string {
 	return fmt.Sprintf("write(k%d,%d)", o.Key, int64(o.Arg))
 }
 
-// KeyedOpDesc is the payload recorded on Invoke/Return trace events of store
-// operations; ExtractKeyedOps groups the records by Key.
+// KeyedOpDesc describes a store operation on its Invoke and Return records
+// (StoreNode records a *KeyedOpDesc; a KeyedOpDesc value is accepted too).
+// The extractors group the records by Key.
 type KeyedOpDesc struct {
 	Key  int
 	Kind OpKind
@@ -157,13 +158,17 @@ func (l *freeList[T]) put(b *T) {
 // replica and replies replica → client, so per-node pools would starve —
 // each side hoards the other's type at its cap while allocating its own —
 // while the shared pool closes the cycle. It survives Reset, so a reused
-// runner stops allocating batches entirely after its first run.
+// runner stops allocating batches entirely after its first run. It also
+// carries the verifier's extraction and check scratch (VerifyStoreRunReach
+// finds it through the run's automata), which is therefore per program
+// instantiation too: one per sweep worker.
 type batchPool struct {
 	qReq   freeList[batch[queryEntry]]
 	qRep   freeList[batch[queryRepEntry]]
 	sReq   freeList[batch[storeEntry]]
 	sRep   freeList[batch[storeRepEntry]]
 	frames freeList[storeFrame]
+	hist   keyedHistory
 }
 
 // lease returns an empty batch from l, allocating one bound to l when the
@@ -525,6 +530,10 @@ type StoreNode struct {
 	queues    [][]queuedOp
 	scriptLen int
 	opSeq     int64
+	// descs holds the descriptor of op opSeq at index opSeq-1, which the
+	// run's op log references from its Invoke and Return records: a pointer
+	// into the table boxes into the log without allocating.
+	descs     []KeyedOpDesc
 	rid       int64
 	pend      []storeOp
 	completed int
@@ -577,8 +586,8 @@ type StoreNode struct {
 	repS     []storeRepEntry
 
 	// Per-op latency observations in the client's own steps, one per
-	// completed op, recorded in the pend slots (not via trace op-records,
-	// which untraced runs mute) and drained by sweeps through LatencyHist.
+	// completed op, recorded in the pend slots and drained by sweeps
+	// through LatencyHist.
 	// latClean/latFaulted split lat exactly by the op.faulted tag, so
 	// fault-exposed tails never hide inside the blended histogram.
 	// fastReads counts one-phase read completions, fallbacks the reads
@@ -698,6 +707,7 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 			a.sOut[sh] = sBuf[sh*outCap : sh*outCap : (sh+1)*outCap]
 		}
 		a.scriptLen = len(script)
+		a.descs = make([]KeyedOpDesc, len(script))
 		// Exact per-shard queue capacities: append-growth here would scale
 		// construction allocations with script length, muddying the
 		// steady-state-zero measurement that excludes fixed setup. The live
@@ -1322,18 +1332,16 @@ func (a *StoreNode) fastReadEligible(op *storeOp) bool {
 	return a.cfg.FastReads && op.kind == ReadOp && (!op.diverged || op.bestConf == op.best)
 }
 
-// finish retires one completed op: the Return record (traced runs only),
-// the latency observations (total plus the clean/faulted fault-exposure
-// split), the window bookkeeping, and — with FastReads — confirmation of
-// op.best, which this completion just proved is stored at a quorum.
+// finish retires one completed op: the Return record, the latency
+// observations (total plus the clean/faulted fault-exposure split), the
+// window bookkeeping, and — with FastReads — confirmation of op.best, which
+// this completion just proved is stored at a quorum.
 func (a *StoreNode) finish(e *sim.Env, op *storeOp) {
-	if e.OpsRecorded() {
-		desc := KeyedOpDesc{Key: op.key, Kind: op.kind, Arg: op.arg}
-		if op.kind == ReadOp {
-			desc.Ret = op.bestVal
-		}
-		e.Return(op.seq, desc)
+	desc := &a.descs[op.seq-1]
+	if op.kind == ReadOp {
+		desc.Ret = op.bestVal
 	}
+	e.Return(op.seq, desc)
 	d := a.steps - op.invoke
 	a.lat.Observe(d)
 	if op.faulted {
@@ -1396,9 +1404,9 @@ func (a *StoreNode) start(e *sim.Env) {
 			a.queues[sh] = a.queues[sh][1:] // sh stays busy: the op is outstanding
 			a.opSeq++
 			a.rid++
-			if e.OpsRecorded() {
-				e.Invoke(a.opSeq, KeyedOpDesc{Key: op.Key, Kind: op.Kind, Arg: op.Arg})
-			}
+			desc := &a.descs[a.opSeq-1]
+			*desc = KeyedOpDesc{Key: op.Key, Kind: op.Kind, Arg: op.Arg}
+			e.Invoke(a.opSeq, desc)
 			pend := storeOp{
 				key:      op.Key,
 				shard:    sh,

@@ -123,6 +123,9 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 				StopWhen:   storeStop(clients, done), // per worker: it keeps a cursor
 				Faults:     cfg.Faults,
 				StallLimit: cfg.StallLimit,
+				// The checker reads the op log, so verified runs need no
+				// trace and keep the payload lease.
+				DisableTrace: true,
 			}
 		},
 		SeedStart: cfg.SeedStart,
@@ -283,8 +286,8 @@ func storeStop(clients dist.ProcSet, done []ShardSet) func(*sim.Snapshot) bool {
 // crash degraded nothing beyond its own shards), and every key's history is
 // linearizable (all registers start at 0) — including keys of a shard whose
 // group lost members, whose stuck operations stay pending and may be
-// dropped by the checker. The run must come from a StoreProgram with
-// tracing enabled.
+// dropped by the checker. The run must come from a StoreProgram; the
+// check reads its op log (sim.Result.Ops), so tracing may be off.
 func VerifyStoreRun(res *sim.Result, correct dist.ProcSet) error {
 	return VerifyStoreRunReach(res, correct, nil)
 }
@@ -295,10 +298,21 @@ func VerifyStoreRun(res *sim.Result, correct dist.ProcSet) error {
 // minority-side operations may stay parked — the graceful-degradation
 // verdict. Linearizability is checked on the full recorded history either
 // way: parked operations never returned, so they cannot violate.
+//
+// Extraction and check reuse the scratch of the program's payload pool, so
+// a run must not be verified concurrently with another run or verification
+// of the same program (sweep workers each build their own).
 func VerifyStoreRunReach(res *sim.Result, correct dist.ProcSet, masks []ShardSet) error {
+	var h *keyedHistory
 	for _, a := range res.Automata {
 		node, ok := a.(*StoreNode)
-		if !ok || !node.s.Contains(node.self) || !correct.Contains(node.self) {
+		if !ok {
+			continue
+		}
+		if h == nil {
+			h = &node.pool.hist
+		}
+		if !node.s.Contains(node.self) || !correct.Contains(node.self) {
 			continue
 		}
 		avail := node.shards.Available(correct)
@@ -310,8 +324,9 @@ func VerifyStoreRunReach(res *sim.Result, correct dist.ProcSet, masks []ShardSet
 				int(node.self), node.completed, node.scriptLen, avail, len(node.pend), res.Reason)
 		}
 	}
-	if res.Trace == nil {
-		return fmt.Errorf("register: store verification needs the run trace (DisableTrace must be off)")
+	if h == nil {
+		h = new(keyedHistory)
 	}
-	return CheckKeyedLinearizable(ExtractKeyedOps(res.Trace), 0)
+	h.extract(res.Ops)
+	return h.check(0)
 }

@@ -72,11 +72,7 @@ type Env struct {
 	// payload's buffers (see DeliveredOwned). Set by the Runner on untraced
 	// runs; never set by the explorer, whose branches share pending messages.
 	ownDelivered bool
-	// opsMuted drops Invoke/Return records: the Runner sets it on untraced
-	// runs, where nothing would ever read them, so automata on the hot path
-	// do not pay the interface boxing of their op descriptors.
-	opsMuted bool
-	layer    Layer
+	layer        Layer
 	// The failure detector queried by QueryFD: queryFD when non-nil (stacked
 	// layers bind the emulator below once), else history (the oracle, bound
 	// once per runner — no per-step closure).
@@ -88,7 +84,7 @@ type Env struct {
 	sends    []sendReq
 	decided  bool
 	decision any
-	ops      []opEvent
+	ops      []Op
 }
 
 type sendReq struct {
@@ -97,10 +93,16 @@ type sendReq struct {
 	payload any
 }
 
-type opEvent struct {
-	ret     bool
-	seq     int64
-	payload any
+// Op is one entry of a run's operation log (Result.Ops): the invocation or
+// the response of a shared-object operation, recorded by Env.Invoke or
+// Env.Return at tick T by process P. Seq correlates an invocation with its
+// response.
+type Op struct {
+	T    dist.Time
+	Seq  int64
+	Desc any
+	P    dist.ProcID
+	Ret  bool
 }
 
 // Self returns the identity of the stepping process.
@@ -191,29 +193,19 @@ func (e *Env) Decide(v any) {
 	e.decision = v
 }
 
-// OpsRecorded reports whether Invoke/Return records are kept this run.
-// They exist only in the trace, so the Runner mutes them on untraced runs;
-// automata on a hot path should gate their Invoke/Return calls on this so
-// the op descriptor is never boxed at the call site (escape analysis cannot
-// elide the conversion to any even when Invoke drops the record).
-func (e *Env) OpsRecorded() bool { return !e.opsMuted }
-
 // Invoke records the invocation of a shared-object operation (for
-// linearizability checking). seq correlates the invocation with its Return.
-// Muted on untraced runs (see OpsRecorded).
+// linearizability checking) in the run's operation log, traced or not; seq
+// correlates the invocation with its Return. The log retains desc until the
+// next Reset. Converting a value larger than a word to any allocates, so an
+// automaton on the hot path passes a pointer to a descriptor it owns.
 func (e *Env) Invoke(seq int64, desc any) {
-	if e.opsMuted {
-		return
-	}
-	e.ops = append(e.ops, opEvent{ret: false, seq: seq, payload: desc})
+	e.ops = append(e.ops, Op{T: e.now, Seq: seq, Desc: desc, P: e.self})
 }
 
-// Return records the response of a previously invoked operation.
+// Return records the response of a previously invoked operation, like
+// Invoke.
 func (e *Env) Return(seq int64, desc any) {
-	if e.opsMuted {
-		return
-	}
-	e.ops = append(e.ops, opEvent{ret: true, seq: seq, payload: desc})
+	e.ops = append(e.ops, Op{T: e.now, Seq: seq, Desc: desc, P: e.self, Ret: true})
 }
 
 // Stack composes protocol layers into one automaton per the failure-detector
@@ -265,7 +257,6 @@ func (s *Stack) Step(e *Env) {
 		sub.now = e.now
 		sub.delivered = nil
 		sub.ownDelivered = false
-		sub.opsMuted = e.opsMuted
 		sub.fdCache = nil
 		sub.fdQueried = false
 		sub.sends = sub.sends[:0]

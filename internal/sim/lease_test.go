@@ -6,17 +6,15 @@ import (
 	"repro/internal/dist"
 )
 
-// leaseProbe records what the runtime told it about payload ownership and
-// op recording — the observable half of the send-buffer lease contract.
+// leaseProbe records what the runtime told it about payload ownership —
+// the observable half of the send-buffer lease contract.
 type leaseProbe struct {
-	self        dist.ProcID
-	sawOwned    bool // a delivery with DeliveredOwned() == true
-	sawShared   bool // a delivery with DeliveredOwned() == false
-	opsRecorded bool
+	self      dist.ProcID
+	sawOwned  bool // a delivery with DeliveredOwned() == true
+	sawShared bool // a delivery with DeliveredOwned() == false
 }
 
 func (a *leaseProbe) Step(e *Env) {
-	a.opsRecorded = e.OpsRecorded()
 	if _, from, ok := e.Delivered(); ok {
 		if e.DeliveredOwned() {
 			a.sawOwned = true
@@ -64,24 +62,17 @@ func runLeaseProbes(t *testing.T, disableTrace bool) []*leaseProbe {
 
 // TestRunnerGrantsPayloadOwnershipOnlyUntraced pins the lease contract on
 // the Runner: ownership of delivered payloads is granted exactly when
-// tracing is off (nothing else retains the payload), and op records are
-// muted on the same condition.
+// tracing is off (nothing else retains the payload).
 func TestRunnerGrantsPayloadOwnershipOnlyUntraced(t *testing.T) {
 	for _, p := range runLeaseProbes(t, false) {
 		if p.sawOwned {
 			t.Fatalf("p%d was granted payload ownership on a traced run", int(p.self))
-		}
-		if !p.opsRecorded {
-			t.Fatalf("p%d saw ops muted on a traced run", int(p.self))
 		}
 	}
 	untraced := runLeaseProbes(t, true)
 	for _, p := range untraced {
 		if p.sawShared {
 			t.Fatalf("p%d was denied payload ownership on an untraced run", int(p.self))
-		}
-		if p.opsRecorded {
-			t.Fatalf("p%d saw ops recorded on an untraced run", int(p.self))
 		}
 	}
 	if !untraced[0].sawOwned && !untraced[1].sawOwned {

@@ -86,7 +86,9 @@ type Config struct {
 	StopWhenDecided bool
 	// StopWhen, when non-nil, ends the run after any step where it holds.
 	StopWhen func(s *Snapshot) bool
-	// DisableTrace skips event recording (benchmarks on the hot path).
+	// DisableTrace skips trace recording (Result.Trace stays nil) and lets
+	// automata own delivered payloads (Env.DeliveredOwned). The operation
+	// log, Result.Ops, is recorded either way.
 	DisableTrace bool
 }
 
@@ -101,6 +103,10 @@ type Result struct {
 	Decisions  map[dist.ProcID]any
 	DecideTime map[dist.ProcID]dist.Time
 	Trace      *trace.Trace
+	// Ops is the run's operation log: every Env.Invoke and Env.Return in
+	// execution order, recorded whether or not the trace is on. It is the
+	// runner's own buffer, reused by the next run: valid until Reset.
+	Ops []Op
 	// Automata holds each process's final automaton (index p-1), so tests
 	// can inspect emulator outputs and internal state post-run.
 	Automata []Automaton
@@ -248,7 +254,8 @@ type Runner struct {
 	correct    dist.ProcSet
 
 	tr        *trace.Trace
-	traceHint int // initial capacity of the next run's trace
+	traceHint int  // initial capacity of the next run's trace
+	ops       []Op // operation log, reused across runs
 	lastEmu   []any
 	hasEmu    []bool
 	delivered Message // scratch copy of the message handed to the stepping automaton
@@ -388,6 +395,7 @@ func (r *Runner) reset() {
 	r.decidedSet = dist.ProcSet{}
 	r.crashPos = 0
 	r.recoverPos = 0
+	r.ops = r.ops[:0]
 	for i := range r.inboxes {
 		r.inboxes[i].reset()
 	}
@@ -442,6 +450,7 @@ func (r *Runner) Run() (*Result, error) {
 		Decisions:    make(map[dist.ProcID]any, r.decidedSet.Len()),
 		DecideTime:   make(map[dist.ProcID]dist.Time, r.decidedSet.Len()),
 		Trace:        r.tr,
+		Ops:          r.ops,
 		Automata:     r.automata,
 		MessagesSent: r.sent,
 
@@ -514,11 +523,9 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 	e.now = t
 	e.delivered = msg
 	// Untraced runs retain no reference to a payload beyond its delivery
-	// step, so the automaton may take ownership of delivered buffers and
-	// skip op recording (the send-buffer lease contract; see
-	// Env.DeliveredOwned and Env.OpsRecorded).
+	// step, so the automaton may take ownership of delivered buffers (the
+	// send-buffer lease contract; see Env.DeliveredOwned).
 	e.ownDelivered = r.tr == nil
-	e.opsMuted = r.tr == nil
 	e.layer = 0
 	e.queryFD = nil
 	e.fdCache = nil
@@ -612,12 +619,13 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		r.record(trace.Event{T: t, P: p, Kind: trace.DecideKind, Payload: e.decision})
 	}
 
+	r.ops = append(r.ops, e.ops...)
 	for _, op := range e.ops {
 		kind := trace.InvokeKind
-		if op.ret {
+		if op.Ret {
 			kind = trace.ReturnKind
 		}
-		r.record(trace.Event{T: t, P: p, Kind: kind, Seq: op.seq, Payload: op.payload})
+		r.record(trace.Event{T: t, P: p, Kind: kind, Seq: op.Seq, Payload: op.Desc})
 	}
 
 	if emu, ok := r.automata[p-1].(Emulator); ok {
